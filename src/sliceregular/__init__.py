@@ -1,13 +1,12 @@
 """Computational calculus of quaternionic slice regular functions on
 general (possibly non-symmetric) slice domains."""
 
-from .errors import (CapMismatch, CapNotResolvable, CapTooSmall,
-                     DegeneratePair, DomainMismatch, EmptyInput,
-                     IdenticallyZero, MaxTermsExceeded, NoAnnulus,
-                     NotADivisor, NotInDomain, NotInOmega,
-                     NotIsolatedSingularity, NotVanishingOnCap, NumericError,
-                     OnBoundary, OnCut, OnRealAxis, OpenContour,
-                     OutsideConvergenceRegion, ParamOutOfRange, ProbeOutside,
+from .errors import (CapMismatch, CapTooSmall, DegeneratePair,
+                     DomainMismatch, EmptyInput, IdenticallyZero,
+                     MaxTermsExceeded, NoAnnulus, NotADivisor, NotInDomain,
+                     NotVanishingOnCap, NumericError, OnBoundary, OnCut,
+                     OnRealAxis, OpenContour, OutsideConvergenceRegion,
+                     ParamOutOfRange, ProbeOutside,
                      ProbeOutsideValidated, RealTraceMismatch,
                      SliceRegularError, SymmetrizationZero, UnitsEqual,
                      ZeroPolynomial)
@@ -59,13 +58,12 @@ __all__ = [
     "Contour", "SymmetricRegion", "nc_line_integral", "slicewise_cauchy",
     "local_cauchy", "volume_cauchy",
     "douren",
-    "SliceRegularError", "NotInDomain", "NotInOmega", "OnRealAxis",
+    "SliceRegularError", "NotInDomain", "OnRealAxis",
     "OnBoundary", "OnCut", "EmptyInput", "DomainMismatch", "DegeneratePair",
     "IdenticallyZero", "ZeroPolynomial", "SymmetrizationZero", "NotADivisor",
     "NotVanishingOnCap", "CapMismatch", "CapTooSmall", "UnitsEqual",
     "RealTraceMismatch", "NoAnnulus", "OutsideConvergenceRegion",
-    "NotIsolatedSingularity", "CapNotResolvable", "OpenContour",
-    "ProbeOutside", "ProbeOutsideValidated", "ParamOutOfRange",
+    "OpenContour", "ProbeOutside", "ProbeOutsideValidated", "ParamOutOfRange",
     "NumericError", "MaxTermsExceeded",
 ]
 

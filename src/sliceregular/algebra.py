@@ -391,8 +391,7 @@ def product_point(f, g, p: Quaternion) -> Quaternion:
     if fp.norm() == 0.0:
         return ZERO
     moved = fp.inverse() * p * fp
-    gd = g.spherical(p)
-    return fp * (gd.value + moved.im() * gd.derivative)
+    return fp * g.spherical(p).reconstruct(moved)
 
 
 def quotient_point(f, g, p: Quaternion) -> Quaternion:
@@ -409,10 +408,10 @@ def quotient_point(f, g, p: Quaternion) -> Quaternion:
     t = fc.inverse() * p * fc
     fd = f.spherical(p)
     gd = g.spherical(p)
-    ft = fd.value + t.im() * fd.derivative
+    ft = fd.reconstruct(t)
     if ft.norm() == 0.0:
         raise SymmetrizationZero("f^s vanishes at the probe")
-    return ft.inverse() * (gd.value + t.im() * gd.derivative)
+    return ft.inverse() * gd.reconstruct(t)
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,15 @@ import sys
 import numpy as np
 
 from . import douren as douren_mod
-from .algebra import (QPoly, QRational, binom, conj_eval, real_quadratic,
-                      recip_eval, reciprocal_poly, star_eval, star_product,
-                      sym_eval)
+from .algebra import (QPoly, QRational, _as_slicefn, binom, conj_eval,
+                      real_quadratic, recip_eval, reciprocal_poly, star_eval,
+                      star_product, sym_eval)
 from .domains import preset
 from .errors import EmptyInput, ParamOutOfRange, SliceRegularError
 from .integral import SymmetricRegion, local_cauchy, volume_cauchy
 from .quaternion import QI, QJ, QK, Quaternion, rotate_unit, slice_decompose
 from .series import classify_singularity, laurent_coeffs, spherical_coeffs
-from .slicefn import SliceFunction, spherical_data
+from .slicefn import SliceFunction, solve_two_units, spherical_data
 from .zeros import (factor_out_point, factor_out_sphere, multiplicities,
                     poly_zeros, zero_scan)
 
@@ -74,10 +74,6 @@ def parse_function(spec):
         except AttributeError:
             raise ParamOutOfRange("unknown fixture %r" % name)
     raise ParamOutOfRange("function spec needs 'poly', 'rational' or 'douren'")
-
-
-def as_slicefn(f):
-    return f if isinstance(f, SliceFunction) else SliceFunction.from_exact(f)
 
 
 def load_payload(args) -> dict:
@@ -131,7 +127,7 @@ def poly_json(p: QPoly):
 
 def cmd_eval(args):
     data = load_payload(args)
-    f = as_slicefn(parse_function(data["function"]))
+    f = _as_slicefn(parse_function(data["function"]))
     rows = []
     for pv in data["probes"]:
         q = parse_quat(pv)
@@ -153,7 +149,8 @@ def _binary_op(args, op_exact, op_point):
 
 def cmd_star(args):
     return _binary_op(args, star_product,
-                      lambda f, g, q: star_eval(as_slicefn(f), as_slicefn(g), q))
+                      lambda f, g, q: star_eval(_as_slicefn(f),
+                                                _as_slicefn(g), q))
 
 
 def _unary_op(args, exact_key, op_exact, op_point):
@@ -224,7 +221,7 @@ def cmd_series(args):
     cap = None
     if "cap_point" in data:
         from .domains import cap_component
-        fn = as_slicefn(f)
+        fn = _as_slicefn(f)
         cap = cap_component(fn.domain, parse_quat(data["cap_point"]))
     s = spherical_coeffs(f, x0, y0, cap=cap,
                          depth=data.get("depth", 32),
@@ -282,7 +279,7 @@ def _parse_unit(v) -> Quaternion:
 
 def cmd_cauchy(args):
     data = load_payload(args)
-    f = as_slicefn(parse_function(data["function"]))
+    f = _as_slicefn(parse_function(data["function"]))
     U = _parse_region(data["region"])
     I = _parse_unit(data.get("unit", [0.0, 1.0, 0.0, 0.0]))
     j0 = _parse_unit(data["j0"]) if "j0" in data else None
@@ -301,7 +298,7 @@ def cmd_cauchy(args):
 
 def cmd_volume_cauchy(args):
     data = load_payload(args)
-    f = as_slicefn(parse_function(data["function"]))
+    f = _as_slicefn(parse_function(data["function"]))
     c, r = data["ball"]
     U = SymmetricRegion.ball(float(c), float(r))
     rows = []
@@ -355,13 +352,16 @@ def _douren_jump(fx, dist: float = 1e-5):
 
 
 def _douren_fixture_report(fx):
+    """The ghost divisor of the three-case factorization example: with
+    p~ = -1 + 2·I0 on the far cap C-, q - p~ divides shifted_g(p~) near C+
+    although shifted_g(p~)(p~) != 0."""
     from .zeros import divides_near, vanishes_on_cap
-    p_tilde = Quaternion(-1.0) + fx.I1 * 2.0
-    g = fx.g
+    p_tilde = Quaternion(-1.0) + fx.I0 * 2.0
+    sg = fx.shifted_g(p_tilde)
     return {
         "ghost_divisor_at_far_cap_point": bool(
-            divides_near(g, p_tilde, fx.cap_minus)),
-        "g_nonzero_there": g(p_tilde).norm() > 1e-3,
+            divides_near(sg, p_tilde, fx.cap_plus)),
+        "g_nonzero_there": sg(p_tilde).norm() > 1e-3,
         "ell_vanishes_on_C+": bool(vanishes_on_cap(fx.ell, fx.cap_plus)),
         "h_value_scale_near_far_cap": fx.h(
             Quaternion(-1.0) + fx.I1 * 2.000001).norm(),
@@ -409,9 +409,7 @@ def _check_representation(rng):
             J = Quaternion(0.0, *(v / np.linalg.norm(v)))
             fJ = p.eval(Quaternion(x) + J * y)
             fK = p.eval(Quaternion(x) - J * y)
-            d = (J - (-J)).inverse()
-            b = d * (J * fJ - (-J) * fK)
-            c = d * (fJ - fK)
+            b, c = solve_two_units(J, fJ, -J, fK)
             vals.append((b, c / y))
         scale = max(v[0].norm() + v[1].norm() for v in vals) or 1.0
         for i in range(len(vals)):
@@ -481,12 +479,9 @@ def _check_jump(fx):
 
 
 def _check_ghosts(fx):
-    from .zeros import divides_near, vanishes_on_cap
-    p_tilde = Quaternion(-1.0) + fx.I0 * 2.0   # a far-cap point != pbar
-    sg = fx.shifted_g(p_tilde)
-    ok = (divides_near(sg, p_tilde, fx.cap_plus)
-          and sg(p_tilde).norm() > 1e-3
-          and vanishes_on_cap(fx.ell, fx.cap_plus))
+    rep = _douren_fixture_report(fx)
+    ok = (rep["ghost_divisor_at_far_cap_point"] and rep["g_nonzero_there"]
+          and rep["ell_vanishes_on_C+"])
     return ok, "ghost divisor + ell checks"
 
 
@@ -617,9 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", help="spec path or inline JSON")
     common.add_argument("--out", help="output file (default stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker count (advisory)")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--grid", help="NxM slice grid for field output")
 

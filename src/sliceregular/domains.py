@@ -404,10 +404,6 @@ class CassiniRegion:
                           symmetric=True)
 
 
-def cassini_contains(region: CassiniRegion, q: Quaternion) -> bool:
-    return region.contains(q)
-
-
 # ---------------------------------------------------------------------------
 # Presets
 

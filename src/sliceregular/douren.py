@@ -301,12 +301,6 @@ class DourenFixtures:
     phi0_pbar: Quaternion
     shifted_g: object  # p_tilde -> SliceFunction (f minus its C+ cap value at p_tilde)
 
-    def as_dict(self):
-        return {"f": self.f, "D": self.D, "g": self.g, "ell": self.ell,
-                "m": self.m, "h": self.h, "p": self.p, "pbar": self.pbar,
-                "p0": self.p0, "p1": self.p1,
-                "C+": self.cap_plus, "C-": self.cap_minus}
-
 
 def fixtures(cfg: DourenConfig | None = None,
              I0: Quaternion | None = None) -> DourenFixtures:
@@ -389,7 +383,7 @@ def fixtures(cfg: DourenConfig | None = None,
         sc = slice_decompose(p_tilde)
         if abs(sc.x + 1.0) > 1e-9 or abs(sc.y - 2.0) > 1e-9:
             raise ParamOutOfRange("p_tilde must lie on the sphere -1 + 2S")
-        v = fplus.value + p_tilde.im() * fplus.derivative
+        v = fplus.reconstruct(p_tilde)
         return SliceFunction(dom, lambda q: f_douren(cfg, q) - v,
                              backing="closed-form", label="douren-shifted-g",
                              slice_many=lambda z, unit:

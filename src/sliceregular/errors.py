@@ -15,10 +15,6 @@ class NotInDomain(SliceRegularError):
     pass
 
 
-class NotInOmega(NotInDomain):
-    pass
-
-
 class OnRealAxis(SliceRegularError):
     pass
 
@@ -84,14 +80,6 @@ class NoAnnulus(SliceRegularError):
 
 
 class OutsideConvergenceRegion(SliceRegularError):
-    pass
-
-
-class NotIsolatedSingularity(SliceRegularError):
-    pass
-
-
-class CapNotResolvable(SliceRegularError):
     pass
 
 

@@ -29,8 +29,8 @@ import numpy as np
 from .errors import (BadUnitChoice, OpenContour, ProbeOutside,
                      ProbeOutsideValidated)
 from .quaternion import (ONE, Quaternion, emb_arr, embed_complex, perp_unit,
-                         project_to_slice, qinv_arr, qmul_arr, qnorm2_arr,
-                         rotate_unit, slice_decompose)
+                         project_to_slice, qconj_arr, qinv_arr, qmul_arr,
+                         qnorm2_arr, rotate_unit, slice_decompose)
 
 _CLOSE_TOL = 1e-12
 
@@ -200,13 +200,9 @@ def slicewise_cauchy(f, I: Quaternion, contour: Contour, z) -> Quaternion:
     s, wds = contour.samples()
     vals = _eval_on_slice(f, s, I)
     # kernel and ds live in L_I; left-multiply the sampled values
-    terms = qmul_arr(_emb_cvals(wds / (s - zc), I), vals)
+    terms = qmul_arr(emb_arr(wds / (s - zc), I), vals)
     acc = Quaternion(*pairwise_sum(terms))
     return (I * (2.0 * math.pi)).inverse() * acc
-
-
-def _emb_cvals(c: np.ndarray, I: Quaternion) -> np.ndarray:
-    return emb_arr(np.asarray(c, dtype=complex), I)
 
 
 def _eval_on_slice(f, s: np.ndarray, I: Quaternion) -> np.ndarray:
@@ -284,16 +280,10 @@ def _kernel_terms(s: np.ndarray, wds: np.ndarray, I: Quaternion,
     head[:] = q2
     head[:, 0] += np.abs(s) ** 2
     head -= (2.0 * s.real)[:, None] * np.array(q.components())
-    kern = qmul_arr(qinv_arr(head), _conj_rows(sq) - np.array(q.components()))
+    kern = qmul_arr(qinv_arr(head), qconj_arr(sq) - np.array(q.components()))
     pref = emb_arr(wds / (2.0 * math.pi), I)
     pref = qmul_arr(pref, np.tile((I.inverse()).components(), (n, 1)))
     return qmul_arr(qmul_arr(kern, pref), vals)
-
-
-def _conj_rows(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[:, 1:] *= -1.0
-    return out
 
 
 def local_cauchy(f, I: Quaternion, U: SymmetricRegion, q: Quaternion,
@@ -346,21 +336,14 @@ def _synth_boundary(f, s: np.ndarray, I: Quaternion, U: SymmetricRegion,
             break
         eps *= 0.5
     vals = np.empty((s.size, 4))
-    Icomp = np.array(I.components())
     for k, z in enumerate(s):
         x, y = z.real, z.imag
         if abs(y) < 1e-14:
             vals[k] = f(Quaternion(x)).components()
             continue
         d = spherical_data(f, Quaternion(x) + j0 * abs(y))
-        row = np.array(d.value.components())
-        dv = np.array(d.derivative.components())
-        vals[k] = row + y * _qmul_rows(Icomp, dv)
+        vals[k] = d.reconstruct(embed_complex(z, I)).components()
     return vals, eps
-
-
-def _qmul_rows(a, b):
-    return qmul_arr(np.atleast_2d(a), np.atleast_2d(b))[0]
 
 
 def _data_consistent(f, s: np.ndarray, I: Quaternion, j0: Quaternion,
@@ -378,7 +361,7 @@ def _data_consistent(f, s: np.ndarray, I: Quaternion, j0: Quaternion,
         if not f.domain.contains(p):
             return False
         d = spherical_data(f, Quaternion(z.real) + j0 * z.imag)
-        synth = d.value + Jp * z.imag * d.derivative
+        synth = d.reconstruct(p)
         direct = f.eval_unchecked(p)
         scale = max(scale, direct.norm())
         if (synth - direct).norm() > tol * scale:

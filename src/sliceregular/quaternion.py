@@ -165,15 +165,6 @@ def _coerce(v):
     return None
 
 
-def mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product; |mul(a,b)| = |a||b|."""
-    return a * b
-
-
-def inv(a: Quaternion) -> Quaternion:
-    return a.inverse()
-
-
 def unit_imaginary(v: Quaternion, tol: float = 1e-12) -> Quaternion:
     """Validate and renormalize an imaginary unit (re = 0, norm = 1)."""
     if abs(v.re()) > tol:
@@ -191,11 +182,6 @@ class SliceCoords:
     x: float
     y: float
     unit: Quaternion | None
-
-    def recompose(self) -> Quaternion:
-        if self.unit is None:
-            return Quaternion(self.x)
-        return Quaternion(self.x) + self.unit * self.y
 
 
 def slice_decompose(q: Quaternion) -> SliceCoords:
@@ -272,10 +258,6 @@ def rotate_unit(base: Quaternion, toward: Quaternion, angle: float) -> Quaternio
 
 def qarr(quats) -> np.ndarray:
     return np.array([q.components() for q in quats], dtype=float)
-
-
-def qarr_one(q: Quaternion) -> np.ndarray:
-    return np.array(q.components(), dtype=float)
 
 
 def from_qarr(a: np.ndarray):

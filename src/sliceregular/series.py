@@ -25,11 +25,11 @@ import numpy as np
 
 from .algebra import QPoly, QRational, binom, real_quadratic, reciprocal_poly
 from .domains import sigma_tau_omega
-from .errors import (MaxTermsExceeded, NoAnnulus, NotIsolatedSingularity,
-                     NumericError, OutsideConvergenceRegion)
-from .quaternion import (Quaternion, QI, embed_complex, emb_arr, from_qarr,
+from .errors import (MaxTermsExceeded, NoAnnulus, NumericError,
+                     OutsideConvergenceRegion)
+from .quaternion import (ONE, Quaternion, QI, embed_complex, emb_arr,
                          qmul_arr, slice_decompose)
-from .slicefn import SliceFunction, spherical_data
+from .slicefn import SliceFunction, SphericalData, solve_two_units
 
 _NOISE = 1e-12
 
@@ -240,7 +240,7 @@ class SphericalSeries:
             if a.norm() + b.norm() == 0.0:
                 continue
             if n >= 0:
-                un = ONE_Q if n == 0 else _qpow(u, n)
+                un = ONE if n == 0 else _qpow(u, n)
             else:
                 un = _qpow(u.inverse(), -n)
             term = un * (a + q * b)
@@ -259,11 +259,8 @@ class SphericalSeries:
                           for n, (a, b) in sorted(self.pairs.items())}}
 
 
-ONE_Q = Quaternion(1.0)
-
-
 def _qpow(u: Quaternion, n: int) -> Quaternion:
-    out = ONE_Q
+    out = ONE
     for _ in range(n):
         out = out * u
     return out
@@ -299,17 +296,14 @@ def _rational_spherical_pairs(f: QRational, x0: float, y0: float,
     for k in range(depth):
         n = k - shift
         # exact spherical data: h = den^{-1} num with den nonzero on sphere
-        num_b, num_c = h.num.sphere_restriction(x0, y0)
-        den_b, den_c = h.den.sphere_restriction(x0, y0)
+        num = SphericalData(*h.num.sphere_restriction(x0, y0), None)
+        den = SphericalData(*h.den.sphere_restriction(x0, y0), None)
         # solve affine data of the quotient from two symmetric sphere points
         pJ = Quaternion(x0, y0, 0.0, 0.0)
         pK = Quaternion(x0, -y0, 0.0, 0.0)
-        vJ = (den_b + pJ.im() * den_c).inverse() * (num_b + pJ.im() * num_c)
-        vK = (den_b + pK.im() * den_c).inverse() * (num_b + pK.im() * num_c)
-        J, K = Quaternion(0, 1, 0, 0), Quaternion(0, -1, 0, 0)
-        d = (J - K).inverse()
-        b = d * (J * vJ - K * vK)
-        c = d * (vJ - vK)
+        vJ = den.reconstruct(pJ).inverse() * num.reconstruct(pJ)
+        vK = den.reconstruct(pK).inverse() * num.reconstruct(pK)
+        b, c = solve_two_units(QI, vJ, -QI, vK)
         a1 = c / y0
         a0 = b - Quaternion(x0) * a1
         pairs[n] = (a0, a1)
@@ -346,7 +340,6 @@ def _numeric_spherical_pairs(f: SliceFunction, x0: float, y0: float, cap,
     r = min(rJ, rK)
     thJ, zJ, valsJ = _contour_values(f, zc, J, r, nodes)
     thK, zK, valsK = _contour_values(f, zc, K, r, nodes)
-    dinv = (J - K).inverse()
     pairs = {}
     for n in range(window_bottom, depth + 1):
         cJ = _coeff_from_samples(thJ, valsJ, r, n, J)
@@ -354,8 +347,7 @@ def _numeric_spherical_pairs(f: SliceFunction, x0: float, y0: float, cap,
         # c = (2 y0)^n J^n (w + J v) with w = a0 + x0 a1, v = y0 a1
         sJ = _unit_pow_inv(J, n) * cJ / (2.0 * y0) ** n
         sK = _unit_pow_inv(K, n) * cK / (2.0 * y0) ** n
-        v = dinv * (sJ - sK)
-        w = sJ - J * v
+        w, v = solve_two_units(J, sJ, K, sK)
         a1 = v / y0
         a0 = w - Quaternion(x0) * a1
         pairs[n] = (a0, a1)
@@ -368,7 +360,7 @@ def _numeric_spherical_pairs(f: SliceFunction, x0: float, y0: float, cap,
 def _unit_pow_inv(J: Quaternion, n: int) -> Quaternion:
     """J^{-n} for an imaginary unit J."""
     k = (-n) % 4
-    return (ONE_Q, J, Quaternion(-1.0), -J)[k]
+    return (ONE, J, Quaternion(-1.0), -J)[k]
 
 
 def _term_samples(z, unit, x0, y0, n, a0, a1):

@@ -35,7 +35,31 @@ class SphericalData:
     cap: CapId
 
     def reconstruct(self, q: Quaternion) -> Quaternion:
+        """f(q) = f°_s + im(q) f'_s at a point q of the cap (or its slice)."""
         return self.value + q.im() * self.derivative
+
+    def null_unit(self, y: float) -> Quaternion:
+        """u = -f°_s (y f'_s)^{-1}, the solution of f°_s + y u f'_s = 0.
+
+        f vanishes at x + yJ exactly when J = u is an imaginary unit
+        (re u = 0, |u| = 1); callers judge how close u comes to one.
+        Needs f'_s != 0.
+        """
+        c = self.derivative * y
+        return -(self.value * c.inverse())
+
+
+def solve_two_units(J: Quaternion, fJ: Quaternion, K: Quaternion,
+                    fK: Quaternion):
+    """(b, c) with v = b + U c at both U = J (v = fJ) and U = K (v = fK):
+
+        b = (J-K)^{-1} [J fJ - K fK],    c = (J-K)^{-1} [fJ - fK].
+
+    For values f(x+yJ), f(x+yK) at two distinct units of one cap, b is the
+    spherical value and c / y the spherical derivative.
+    """
+    dinv = (J - K).inverse()
+    return dinv * (J * fJ - K * fK), dinv * (fJ - fK)
 
 
 class SliceFunction:
@@ -99,10 +123,6 @@ class SliceFunction:
         raise TypeError("expected QPoly or QRational")
 
     @classmethod
-    def from_poly(cls, poly, domain=None):
-        return cls.from_exact(poly, domain)
-
-    @classmethod
     def constant(cls, c: Quaternion, domain: DomainSpec | None = None):
         from .algebra import QPoly
         return cls.from_exact(QPoly([c]), domain)
@@ -137,21 +157,13 @@ def intersect_domains(a: DomainSpec, b: DomainSpec) -> DomainSpec:
 # ---------------------------------------------------------------------------
 # eval / spherical data
 
-def eval_fn(f: SliceFunction, q: Quaternion) -> Quaternion:
-    return f(q)
-
-
 def spherical_data(f: SliceFunction, p: Quaternion,
                    angular_step: float = 0.5) -> SphericalData:
     """Local representation on p's cap.
 
     Picks two units J != K in the cap (J = the unit of p, K as far from J
-    as the cap allows, for conditioning of (J-K)^{-1}) and solves
-
-        b = (J-K)^{-1} [J f(x+yJ) - K f(x+yK)]
-        c = (J-K)^{-1} [f(x+yJ) - f(x+yK)]
-
-    returning value = b and derivative = c / y.
+    as the cap allows, for conditioning of (J-K)^{-1}) and solves for
+    (b, c) with `solve_two_units`, returning value = b and derivative = c / y.
     """
     sc = slice_decompose(p)
     if sc.unit is None:
@@ -166,9 +178,7 @@ def spherical_data(f: SliceFunction, p: Quaternion,
     x, y = sc.x, sc.y
     fJ = f.eval_unchecked(p)
     fK = f.eval_unchecked(Quaternion(x) + K * y)
-    d = (J - K).inverse()
-    b = d * (J * fJ - K * fK)
-    c = d * (fJ - fK)
+    b, c = solve_two_units(J, fJ, K, fK)
     out = SphericalData(b, c / y, cap)
     if len(f._sph_cache) < 4096:
         f._sph_cache[key] = out
@@ -229,15 +239,13 @@ def extend_from_slices(r, s, J: Quaternion, K: Quaternion,
     """
     if (J - K).norm() < 1e-12:
         raise UnitsEqual("extension needs two distinct units")
-    dinv = (J - K).inverse()
 
     def evaluate(q: Quaternion) -> Quaternion:
         sc = slice_decompose(q)
         z = complex(sc.x, sc.y)
         rv = r(z)
         sv = s(z)
-        b = dinv * (J * rv - K * sv)
-        c = dinv * (rv - sv)
+        b, c = solve_two_units(J, rv, K, sv)
         if sc.unit is None:
             if (rv - sv).norm() > real_trace_tol * (1.0 + rv.norm()):
                 raise RealTraceMismatch("slice data disagree at real point %g"

@@ -180,6 +180,39 @@ def _poly_chain(h: QPoly, x: float, y: float, tol: float):
     return chain, h
 
 
+def _deflate_linear(h: QPoly, p: Quaternion, scale: float):
+    """(m, rest) with h = (q-p)^{*m} * rest, dividing while exact."""
+    m = 0
+    while not h.is_zero():
+        g, rem = h.divide_right_linear(p)
+        if rem.norm() > _DIV_TOL * scale:
+            break
+        h, m = g, m + 1
+    return m, h
+
+
+def _deflate_sphere(h: QPoly, x: float, y: float, scale: float):
+    """(m, rest) with h = [(q-x)^2+y^2]^m rest, dividing while exact."""
+    m = 0
+    while not h.is_zero():
+        g, r0, r1 = h.divide_real_quadratic(x, y)
+        if (r0.norm() + r1.norm()) > _DIV_TOL * scale:
+            break
+        h, m = g, m + 1
+    return m, h
+
+
+def _leading_count(chain, p: Quaternion) -> int:
+    """Number of leading chain points equal to p (within 1e-6 relative)."""
+    lead = 0
+    for pt in chain:
+        if (pt - p).norm() <= 1e-6 * (1.0 + p.norm()):
+            lead += 1
+        else:
+            break
+    return lead
+
+
 def poly_zeros(f: QPoly) -> ZeroReport:
     """Full zero structure of a polynomial via symmetrization roots and
     exact deflation (spheres first, then the point chain)."""
@@ -196,16 +229,8 @@ def poly_zeros(f: QPoly) -> ZeroReport:
     for r, _k in roots:
         if r.imag > 0.0:
             continue
-        x = r.real
-        p = Quaternion(x)
-        m = 0
-        h = f
-        while not h.is_zero():
-            g, rem = h.divide_right_linear(p)
-            if rem.norm() > _DIV_TOL * scale:
-                break
-            h = g
-            m += 1
+        p = Quaternion(r.real)
+        m, _ = _deflate_linear(f, p, scale)
         if m > 0:
             report.isolated.append(IsolatedZero(p, None, m, m, "exact"))
 
@@ -214,29 +239,15 @@ def poly_zeros(f: QPoly) -> ZeroReport:
         if r.imag <= 0.0:
             continue
         x, y = r.real, r.imag
-        m = 0
-        h = f
-        while not h.is_zero():
-            g, q0, q1 = h.divide_real_quadratic(x, y)
-            if (q0.norm() + q1.norm()) > _DIV_TOL * scale:
-                break
-            h = g
-            m += 1
+        m, h = _deflate_sphere(f, x, y, scale)
         chain, _rest = _poly_chain(h, x, y, _DIV_TOL)
         if m == 0 and not chain:
             continue
         if m > 0:
             report.spherical.append(SphericalZero(x, y, None, 2 * m, "exact"))
         if chain:
-            p1 = chain[0]
-            lead = 0
-            for p in chain:
-                if (p - p1).norm() <= 1e-6 * (1.0 + p1.norm()):
-                    lead += 1
-                else:
-                    break
-            classical = m + lead
-            report.isolated.append(IsolatedZero(p1, None, classical,
+            classical = m + _leading_count(chain, chain[0])
+            report.isolated.append(IsolatedZero(chain[0], None, classical,
                                                 len(chain), "exact"))
         # borderline check: if the undivided rest nearly vanished on the
         # sphere again, the find sits within 10x of the threshold
@@ -269,12 +280,12 @@ def divides_near(f: SliceFunction, p_tilde: Quaternion, cap: CapId,
     _require_on_cap_sphere(p_tilde, cap)
     rng = np.random.default_rng(12345)
     units = cap.sample_units(probes, rng)
-    imp = p_tilde.im()
+    imp = p_tilde.im_norm()
     for u in units:
         q = cap.point(u)
         d = spherical_data(f, q)
-        scale = max(d.value.norm(), imp.norm() * d.derivative.norm(), 1e-30)
-        if (d.value + imp * d.derivative).norm() > tol * scale:
+        scale = max(d.value.norm(), imp * d.derivative.norm(), 1e-30)
+        if d.reconstruct(p_tilde).norm() > tol * scale:
             return False
     return True
 
@@ -290,6 +301,18 @@ def vanishes_on_cap(f: SliceFunction, cap: CapId, probes: int = 20,
         ref = max(ref, v.norm())
     scale = max(1.0, cap.y)
     return all(v <= tol * scale for v in vals)
+
+
+def _richardson_fill(quotient, q: Quaternion) -> Quaternion:
+    """Value of a quotient at a removable point q on the divisor's sphere:
+    symmetric averages along R at steps d and d/2, one Richardson step."""
+    d = 1e-5 * (1.0 + abs(q))
+
+    def avg(step):
+        return (quotient(q + Quaternion(step))
+                + quotient(q - Quaternion(step))) * 0.5
+
+    return (avg(d * 0.5) * 4.0 - avg(d)) / 3.0
 
 
 def factor_out_point(f, p: Quaternion, cap: CapId | None = None):
@@ -312,16 +335,14 @@ def factor_out_point(f, p: Quaternion, cap: CapId | None = None):
     bfn = SliceFunction.from_exact(binom(p))
     quad = real_quadratic(sc.x, sc.y)
 
+    def quotient(q: Quaternion) -> Quaternion:
+        return quotient_point(bfn, f, q)
+
     def evaluate(q: Quaternion) -> Quaternion:
         if quad.eval(q).norm() > 1e-8 * (1.0 + q.norm2()):
-            return quotient_point(bfn, f, q)
-        # removable point on the sphere of p: Richardson fill along R
-        d = 1e-5 * (1.0 + abs(q))
-        def avg(step):
-            a = quotient_point(bfn, f, q + Quaternion(step))
-            b = quotient_point(bfn, f, q - Quaternion(step))
-            return (a + b) * 0.5
-        return (avg(d * 0.5) * 4.0 - avg(d)) / 3.0
+            return quotient(q)
+        # removable point on the sphere of p
+        return _richardson_fill(quotient, q)
 
     return SliceFunction(f.domain, evaluate, backing="composite",
                          label="factor_out_point")
@@ -340,21 +361,24 @@ def factor_out_sphere(f, x0: float, y0: float, cap: CapId | None = None):
         raise NotVanishingOnCap("f does not vanish identically on the cap")
     quad = real_quadratic(x0, y0)
 
+    def quotient(q: Quaternion) -> Quaternion:
+        return quad.eval(q).inverse() * f.eval_unchecked(q)
+
     def evaluate(q: Quaternion) -> Quaternion:
-        qd = quad.eval(q)
-        if qd.norm() > 1e-8 * (1.0 + q.norm2()):
-            return qd.inverse() * f.eval_unchecked(q)
-        d = 1e-5 * (1.0 + abs(q))
-        def avg(step):
-            a = quad.eval(q + Quaternion(step)).inverse() \
-                * f.eval_unchecked(q + Quaternion(step))
-            b = quad.eval(q - Quaternion(step)).inverse() \
-                * f.eval_unchecked(q - Quaternion(step))
-            return (a + b) * 0.5
-        return (avg(d * 0.5) * 4.0 - avg(d)) / 3.0
+        if quad.eval(q).norm() > 1e-8 * (1.0 + q.norm2()):
+            return quotient(q)
+        return _richardson_fill(quotient, q)
 
     return SliceFunction(f.domain, evaluate, backing="composite",
                          label="factor_out_sphere")
+
+
+def _near_unit(u: Quaternion, tol: float):
+    """u renormalized to an imaginary unit when within tol of one, else None."""
+    n = u.im_norm()
+    if abs(u.re()) > tol or abs(n - 1.0) > tol:
+        return None
+    return Quaternion(0.0, u.x / n, u.y / n, u.z / n)
 
 
 def _dividing_point_on_cap(f, cap: CapId):
@@ -369,12 +393,10 @@ def _dividing_point_on_cap(f, cap: CapId):
         return None
     if c.norm() <= _CAP_TOL * scale:
         return None
-    unit = b * c.inverse()
-    n = unit.im_norm()
-    if abs(unit.re()) > 1e-6 or abs(n - 1.0) > 1e-6:
+    jstar = _near_unit(d.null_unit(cap.y), 1e-6)
+    if jstar is None:
         return None
-    istar = Quaternion(0.0, unit.x / n, unit.y / n, unit.z / n)
-    return Quaternion(cap.x) - istar * cap.y
+    return cap.point(jstar)
 
 
 def multiplicities(f, p: Quaternion, cap: CapId | None = None,
@@ -392,30 +414,11 @@ def multiplicities(f, p: Quaternion, cap: CapId | None = None,
             raise IdenticallyZero("multiplicities of the zero polynomial")
         scale = f.scale() or 1.0
         if sc.unit is None:
-            m = 0
-            h = f
-            while not h.is_zero():
-                g, rem = h.divide_right_linear(p)
-                if rem.norm() > _DIV_TOL * scale:
-                    break
-                h, m = g, m + 1
+            m, _ = _deflate_linear(f, p, scale)
             return m, 0, m
-        x, y = sc.x, sc.y
-        m = 0
-        h = f
-        while not h.is_zero():
-            g, r0, r1 = h.divide_real_quadratic(x, y)
-            if (r0.norm() + r1.norm()) > _DIV_TOL * scale:
-                break
-            h, m = g, m + 1
-        chain, _ = _poly_chain(h, x, y, _DIV_TOL)
-        lead = 0
-        for pt in chain:
-            if (pt - p).norm() <= 1e-6 * (1.0 + p.norm()):
-                lead += 1
-            else:
-                break
-        return m + lead, 2 * m, len(chain)
+        m, h = _deflate_sphere(f, sc.x, sc.y, scale)
+        chain, _ = _poly_chain(h, sc.x, sc.y, _DIV_TOL)
+        return m + _leading_count(chain, p), 2 * m, len(chain)
 
     # general slice function: cap-local factor chain
     if cap is None:
@@ -438,13 +441,7 @@ def multiplicities(f, p: Quaternion, cap: CapId | None = None,
         probe = h.eval_unchecked(cap.point(cap.representative))
         if probe.norm() <= 1e-14:
             raise IdenticallyZero("f vanishes identically near the cap")
-    lead = 0
-    for pt in chain:
-        if (pt - p).norm() <= 1e-6 * (1.0 + p.norm()):
-            lead += 1
-        else:
-            break
-    return m + lead, 2 * m, len(chain)
+    return m + _leading_count(chain, p), 2 * m, len(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +493,8 @@ def cap_zeros(f: SliceFunction, cap: CapId, tol: float = _CAP_TOL):
         return "cap", None
     if c.norm() <= tol * scale:
         return "none", None
-    unit = -(b * c.inverse())
-    n = unit.im_norm()
-    if abs(unit.re()) > 1e-7 or abs(n - 1.0) > 1e-7:
-        return "none", None
-    jstar = Quaternion(0.0, unit.x / n, unit.y / n, unit.z / n)
-    if not cap.contains_unit(jstar):
+    jstar = _near_unit(d.null_unit(cap.y), 1e-7)
+    if jstar is None or not cap.contains_unit(jstar):
         return "none", None
     return "point", cap.point(jstar)
 
@@ -515,12 +508,11 @@ def _sphere_min(f: SliceFunction, dom, x: float, y: float) -> float:
         q = Quaternion(x) + u * y
         if dom.contains(q) and f.domain.contains(q):
             d = spherical_data(f, q)
-            b = d.value
             c = d.derivative * y
             if c.norm() < 1e-300:
-                return b.norm()
-            beta = b * c.inverse()
-            return c.norm() * float(np.hypot(beta.re(), beta.im_norm() - 1.0))
+                return d.value.norm()
+            u = d.null_unit(y)
+            return c.norm() * float(np.hypot(u.re(), u.im_norm() - 1.0))
     return np.inf
 
 

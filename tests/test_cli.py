@@ -59,6 +59,14 @@ def test_douren_caps_table(capsys):
         assert len(row[2]) == 4 and len(row[3]) == 4
 
 
+def test_douren_reports_ghost_divisor(capsys):
+    code, out = run(capsys, "douren")
+    assert code == 0
+    rep = json.loads(out)["fixtures"]
+    assert rep["ghost_divisor_at_far_cap_point"] is True
+    assert rep["g_nonzero_there"] is True
+
+
 def test_output_is_deterministic(capsys):
     spec = {"function": {"douren": "f"},
             "probes": [[-1.0, 0.0, 2.0, 0.0], [0.5, 2.0, 0.0, 0.0]]}

@@ -50,6 +50,30 @@ def test_rational_spherical_orders():
                             ).spherical_order() == 0
 
 
+def test_rational_spherical_pairs_reproduce_values():
+    # quaternionic numerators over real denominators that are nonzero on
+    # the sphere x0 + y0 S, and that vanish on it (negative indices)
+    rng = np.random.default_rng(2602)
+    x0, y0 = 0.3, 1.1
+    worst = 0.0
+    for vanishing in (False, True):
+        for _ in range(5):
+            den = real_quadratic(x0 + rng.uniform(2.0, 3.0),
+                                 rng.uniform(0.5, 1.5))
+            if vanishing:
+                den = star_product(real_quadratic(x0, y0), den)
+            r = QRational(rand_poly(rng, 4), den)
+            ser = spherical_coeffs(r, x0, y0)
+            for _ in range(10):
+                v = rng.standard_normal(3)
+                unit = Quaternion(0.0, *(v / np.linalg.norm(v)))
+                q = (Quaternion(x0) + unit * y0
+                     + Quaternion(*(0.1 * rng.standard_normal(4))))
+                want = r.eval(q)
+                worst = max(worst, (ser.eval(q) - want).norm() / want.norm())
+    assert worst < 1e-10
+
+
 def test_laurent_simple_pole_residue():
     # (q - i)^{-*} restricted to L_i is 1/(z - i): a_{-1} = 1, rest noise
     r = reciprocal_poly(binom(QI))
