@@ -21,9 +21,14 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import (CapTooSmall, EmptyInput, NotInDomain, OnRealAxis,
                      ParamOutOfRange)
-from .quaternion import Quaternion, slice_decompose, same_slice
+from .quaternion import Quaternion, rotate_unit, same_slice, slice_decompose
 
 BOUNDARY_TOL = 1e-9
+# angle by which BandCap.second_unit keeps its unit inside the cap collar:
+# off the boundary, so a contour on the second unit's slice keeps its radius
+SECOND_UNIT_MARGIN = math.pi / 360.0
+# flood fills each DomainSpec keeps in its LRU _cap_cache
+CAP_CACHE_SIZE = 4
 
 
 @dataclass
@@ -40,8 +45,9 @@ class DomainSpec:
         fill; domains with razor-thin excluded sets need it).
     cap_structure: optional (x, y) -> list of cap descriptors, a closed-form
         replacement for the grid flood fill.
-    sphere_mask: optional (x, y, units (N,3) array) -> bool array, vectorized
-        membership of x + y*unit for the flood fill.
+    sphere_clearance: optional (x, y, units (N,3) array) -> float array, the
+        boundary_distance of every x + y*unit at once; the flood fill then
+        makes one call per sphere instead of one per grid vertex.
     """
 
     contains: object
@@ -50,7 +56,8 @@ class DomainSpec:
     symmetric: bool = False
     boundary_distance: object = None
     cap_structure: object = None
-    sphere_mask: object = None
+    sphere_clearance: object = None
+    # flood fills by (x, y, level), least recently used first
     _cap_cache: dict = field(default_factory=dict, repr=False)
 
     def __contains__(self, q: Quaternion) -> bool:
@@ -125,21 +132,20 @@ class BandCap:
         return d > self.chord + self.collar
 
     def second_unit(self, unit):
-        # walk the great circle through axis and unit; keep the in-cap
-        # candidate farthest from unit
-        from .quaternion import rotate_unit
-        best, best_d = None, -1.0
-        for ang in np.linspace(0.0, math.pi, 181):
-            for sign in (1.0, -1.0):
-                k = rotate_unit(self.axis, unit, sign * ang)
-                if not self.contains_unit(k):
-                    continue
-                d = (k - unit).norm()
-                if d > best_d and d > 1e-6:
-                    best, best_d = k, d
-        if best is None:
+        # the in-cap unit farthest from `unit`: -unit if the cap holds it,
+        # else the collar point on the great circle through axis and unit,
+        # on the far side of the axis, pulled SECOND_UNIT_MARGIN into the cap
+        # (half the cap's angular room when that is smaller)
+        k = -unit
+        if not self.contains_unit(k):
+            alpha = 2.0 * math.asin(min(0.5 * self.chord, 1.0))
+            room = alpha if self.inside else math.pi - alpha
+            pull = min(SECOND_UNIT_MARGIN, 0.5 * room)
+            ang = alpha - pull if self.inside else alpha + pull
+            k = rotate_unit(self.axis, unit, -ang)
+        if not self.contains_unit(k) or (k - unit).norm() <= 1e-6:
             raise CapTooSmall("no second unit found in cap")
-        return best
+        return k
 
     def sample_units(self, n, rng=None):
         rng = rng or np.random.default_rng(0)
@@ -266,9 +272,14 @@ def cap_component(dom: DomainSpec, p: Quaternion,
 
     level = _level_for_step(angular_step)
     key = (round(x, 12), round(y, 12), level)
-    if key not in dom._cap_cache:
-        dom._cap_cache[key] = _flood_fill(dom, x, y, level)
-    verts, labels, edge = dom._cap_cache[key]
+    cache = dom._cap_cache
+    fill = cache.pop(key, None)
+    if fill is None:
+        fill = _flood_fill(dom, x, y, level)
+    cache[key] = fill
+    if len(cache) > CAP_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    verts, labels, edge = fill
 
     v = np.array([sc.unit.x, sc.unit.y, sc.unit.z])
     d = np.linalg.norm(verts - v, axis=1)
@@ -287,19 +298,19 @@ def _flood_fill(dom: DomainSpec, x: float, y: float, level: int):
     verts, edges = icosphere(level)
     edge_len = float(np.linalg.norm(verts[edges[0, 0]] - verts[edges[0, 1]]))
 
-    if dom.sphere_mask is not None:
-        member = np.asarray(dom.sphere_mask(x, y, verts), dtype=bool)
+    if dom.sphere_clearance is not None:
+        member = dom.sphere_clearance(x, y, verts) > y * edge_len
     else:
         member = np.fromiter(
             (dom.contains(Quaternion(x, y * v[0], y * v[1], y * v[2]))
              for v in verts), dtype=bool, count=len(verts))
-
-    if dom.boundary_distance is not None:
-        clear = np.fromiter(
-            (dom.boundary_distance(Quaternion(x, y * v[0], y * v[1], y * v[2]))
-             if m else -1.0 for v, m in zip(verts, member)),
-            dtype=float, count=len(verts))
-        member &= clear > y * edge_len
+        if dom.boundary_distance is not None:
+            clear = np.fromiter(
+                (dom.boundary_distance(Quaternion(x, y * v[0], y * v[1],
+                                                  y * v[2]))
+                 if m else -1.0 for v, m in zip(verts, member)),
+                dtype=float, count=len(verts))
+            member &= clear > y * edge_len
 
     labels = np.full(len(verts), -1, dtype=int)
     idx = np.flatnonzero(member)

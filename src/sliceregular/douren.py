@@ -71,6 +71,16 @@ def _halfline_distance(w: complex) -> float:
     return math.hypot(max(w.real + 2.0, 0.0), w.imag)
 
 
+# the coarse theta grid of the arc distance and the ternary steps refining
+# its minimum, shared by the scalar and the array routine
+_ARC_TH = np.linspace(0.0, math.pi, 721)
+_ARC_COS = np.cos(_ARC_TH)
+_ARC_SIN = np.sin(_ARC_TH)
+_ARC_STEPS = 60
+# rows of the array routine's (rows x 721) coarse search held at once
+_ARC_CHUNK = 1024
+
+
 def _arc_distance(t: float, w: complex) -> float:
     """Distance from w to the half-ellipse arc of parameter t."""
     b = 1.0 - 2.0 * t
@@ -78,17 +88,16 @@ def _arc_distance(t: float, w: complex) -> float:
         # the segment [-2, 0]
         x = min(max(w.real, -2.0), 0.0)
         return math.hypot(w.real - x, w.imag)
-    th = np.linspace(0.0, math.pi, 721)
-    pts = (-1.0 + np.cos(th)) + 1j * b * np.sin(th)
+    pts = (-1.0 + _ARC_COS) + 1j * b * _ARC_SIN
     d = np.abs(pts - w)
     i = int(np.argmin(d))
-    lo = th[max(i - 1, 0)]
-    hi = th[min(i + 1, len(th) - 1)]
+    lo = _ARC_TH[max(i - 1, 0)]
+    hi = _ARC_TH[min(i + 1, len(_ARC_TH) - 1)]
 
     def dist(a):
         return abs(complex(-1.0 + math.cos(a), b * math.sin(a)) - w)
 
-    for _ in range(60):
+    for _ in range(_ARC_STEPS):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         if dist(m1) <= dist(m2):
@@ -96,6 +105,38 @@ def _arc_distance(t: float, w: complex) -> float:
         else:
             lo = m1
     return dist(0.5 * (lo + hi))
+
+
+def _arc_distance_many(t: np.ndarray, w: complex) -> np.ndarray:
+    """_arc_distance(t[k], w) for every k: the same coarse minimum and
+    ternary refinement, run on all distinct t at once."""
+    t, back = np.unique(t, return_inverse=True)
+    b = 1.0 - 2.0 * t
+    out = np.empty(b.shape)
+    seg = b == 0.0
+    x = min(max(w.real, -2.0), 0.0)
+    out[seg] = math.hypot(w.real - x, w.imag)
+    rows = np.flatnonzero(~seg)
+    du = -1.0 + _ARC_COS - w.real
+    last = len(_ARC_TH) - 1
+    for s in range(0, len(rows), _ARC_CHUNK):
+        r = rows[s:s + _ARC_CHUNK]
+        br = b[r]
+        i = np.hypot(du, br[:, None] * _ARC_SIN - w.imag).argmin(axis=1)
+        lo = _ARC_TH[np.maximum(i - 1, 0)]
+        hi = _ARC_TH[np.minimum(i + 1, last)]
+
+        def dist(a):
+            return np.hypot(-1.0 + np.cos(a) - w.real, br * np.sin(a) - w.imag)
+
+        for _ in range(_ARC_STEPS):
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            left = dist(m1) <= dist(m2)
+            hi = np.where(left, m2, hi)
+            lo = np.where(left, lo, m1)
+        out[r] = dist(0.5 * (lo + hi))
+    return out[back]
 
 
 def cut_distance(t: float, w: complex) -> float:
@@ -200,6 +241,21 @@ def omega_domain(cfg: DourenConfig, closed_form_caps: bool = True) -> DomainSpec
     def contains(q: Quaternion) -> bool:
         return clearance(q) > tol
 
+    def sphere_clearance(x: float, y: float, units: np.ndarray) -> np.ndarray:
+        # clearance(x + y*unit) for every row: the sphere fixes w, so the
+        # half-line term and the cheap reject of cut_distance are shared
+        chord = np.minimum(
+            np.linalg.norm(units - [I.x, I.y, I.z], axis=1), 1.0)
+        w = complex(x, y - 2.0)
+        d_half = _halfline_distance(w)
+        d = np.full(chord.shape, d_half)
+        if abs(w + 1.0) <= 1.0 + d_half:
+            d = np.minimum(d, _arc_distance_many(chord, w))
+        band = _sphere_band(x, y)
+        if band is not None and 0.0 < band < 1.0:
+            d = np.minimum(d, np.abs(chord - band) * y)
+        return d
+
     def cap_structure(x: float, y: float):
         band = _sphere_band(x, y)
         if band is None:
@@ -211,19 +267,6 @@ def omega_domain(cfg: DourenConfig, closed_form_caps: bool = True) -> DomainSpec
         return [BandCap(I, band, inside=True, collar=tol),
                 BandCap(I, band, inside=False, collar=tol)]
 
-    def sphere_mask(x: float, y: float, units: np.ndarray) -> np.ndarray:
-        ivec = np.array([I.x, I.y, I.z])
-        chord = np.linalg.norm(units - ivec, axis=1)
-        t = np.minimum(chord, 1.0)
-        w = complex(x, y - 2.0)
-        d_half = _halfline_distance(w)
-        th = np.linspace(0.0, math.pi, 181)
-        uu = -1.0 + np.cos(th) - w.real
-        b = 1.0 - 2.0 * t
-        vv = b[:, None] * np.sin(th)[None, :] - w.imag
-        d_arc = np.sqrt(uu[None, :] ** 2 + vv ** 2).min(axis=1)
-        return np.minimum(d_half, d_arc) > tol
-
     lim = 50.0
     return DomainSpec(contains=contains,
                       bbox=((-lim, lim),) * 4,
@@ -231,7 +274,7 @@ def omega_domain(cfg: DourenConfig, closed_form_caps: bool = True) -> DomainSpec
                       symmetric=False,
                       boundary_distance=clearance,
                       cap_structure=cap_structure if closed_form_caps else None,
-                      sphere_mask=sphere_mask)
+                      sphere_clearance=sphere_clearance)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +409,8 @@ def fixtures(cfg: DourenConfig | None = None,
         contains=lambda q: dom.contains(q) and quad.eval(q).norm() > 0.0,
         bbox=dom.bbox, label="douren-omega \\ (-1+2S)",
         boundary_distance=dom.boundary_distance,
-        cap_structure=dom.cap_structure, sphere_mask=dom.sphere_mask)
+        cap_structure=dom.cap_structure,
+        sphere_clearance=dom.sphere_clearance)
     h = SliceFunction(hdom,
                       lambda q: quad.eval(q).inverse() * star_eval(bfn, g, q),
                       backing="composite", label="douren-h")

@@ -143,6 +143,10 @@ def intersect_domains(a: DomainSpec, b: DomainSpec) -> DomainSpec:
         bd = lambda q: min(a.boundary_distance(q), b.boundary_distance(q))
     elif a.boundary_distance or b.boundary_distance:
         bd = a.boundary_distance or b.boundary_distance
+    sc = None
+    if a.sphere_clearance and b.sphere_clearance:
+        sc = lambda x, y, units: np.minimum(a.sphere_clearance(x, y, units),
+                                            b.sphere_clearance(x, y, units))
     cs = a.cap_structure or b.cap_structure
     if a.cap_structure and b.cap_structure and a.cap_structure is not b.cap_structure:
         cs = None  # fall back to the grid on genuinely mixed geometry
@@ -151,7 +155,7 @@ def intersect_domains(a: DomainSpec, b: DomainSpec) -> DomainSpec:
                       symmetric=a.symmetric and b.symmetric,
                       boundary_distance=bd,
                       cap_structure=cs,
-                      sphere_mask=None)
+                      sphere_clearance=sc)
 
 
 # ---------------------------------------------------------------------------

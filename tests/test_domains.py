@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from sliceregular.domains import (CassiniRegion, DomainSpec, ball,
-                                  cap_component, gamma_tube, preset,
+from sliceregular import domains
+from sliceregular.domains import (CAP_CACHE_SIZE, SECOND_UNIT_MARGIN, BandCap,
+                                  CassiniRegion, DomainSpec, GridCap,
+                                  WholeSphereCap, ball, cap_component,
+                                  gamma_tube, icosphere, preset,
                                   sigma_tau_omega, whole_space)
-from sliceregular.errors import NotInDomain, ParamOutOfRange
+from sliceregular.errors import CapTooSmall, NotInDomain, ParamOutOfRange
 from sliceregular.quaternion import QI, QJ, QK, Quaternion, rotate_unit
 
 
@@ -114,3 +117,134 @@ def test_douren_caps_grid_vs_closed_form_membership():
             continue   # stay away from the cap boundary collar
         assert cap_cf.contains_unit(J) == cap_gr.contains_unit(J), \
             "backends disagree at |J-I| = %.3f" % d
+
+
+def _rand_unit(rng):
+    v = rng.standard_normal(3)
+    return Quaternion(0.0, *(v / np.linalg.norm(v)))
+
+
+def _walk_second_unit(cap, unit):
+    # reference: the 1-degree great-circle walk through axis and unit,
+    # keeping the in-cap candidate farthest from unit
+    best, best_d = None, -1.0
+    for ang in np.linspace(0.0, math.pi, 181):
+        for sign in (1.0, -1.0):
+            k = rotate_unit(cap.axis, unit, sign * ang)
+            if not cap.contains_unit(k):
+                continue
+            d = (k - unit).norm()
+            if d > best_d and d > 1e-6:
+                best, best_d = k, d
+    return best
+
+
+def _unit_in_cap(rng, cap, near_collar):
+    alpha = 2.0 * math.asin(cap.chord / 2.0)
+    if near_collar:
+        ang = alpha - 1e-3 if cap.inside else alpha + 1e-3
+        return rotate_unit(cap.axis, _rand_unit(rng), ang)
+    while True:
+        J = _rand_unit(rng)
+        if cap.contains_unit(J):
+            return J
+
+
+def test_band_cap_second_unit_is_farthest_in_cap():
+    rng = np.random.default_rng(71)
+    slack = 2.0 * math.sin(SECOND_UNIT_MARGIN / 2.0)
+    antipodal = 0
+    for k in range(120):
+        cap = BandCap(_rand_unit(rng), rng.uniform(0.02, 1.98),
+                      inside=k % 2 == 0)
+        J = _unit_in_cap(rng, cap, near_collar=k % 5 == 0)
+        assert cap.contains_unit(J)
+        K = cap.second_unit(J)
+        assert cap.contains_unit(K)
+        if cap.contains_unit(-J):
+            assert (K + J).norm() == 0.0
+            antipodal += 1
+        assert (K - J).norm() >= (_walk_second_unit(cap, J) - J).norm() - slack
+    assert 0 < antipodal < 120
+
+
+def test_band_cap_second_unit_tiny_cap():
+    # caps narrower than the margin: an in-cap unit or CapTooSmall
+    rng = np.random.default_rng(72)
+    margin_chord = 2.0 * math.sin(SECOND_UNIT_MARGIN / 2.0)
+    found = 0
+    for chord in (1e-8, 1e-6, 1e-4, 1e-3, 0.5 * margin_chord,
+                  0.99 * margin_chord):
+        for inside in (True, False):
+            axis = _rand_unit(rng)
+            cap = BandCap(axis, chord if inside else 2.0 - chord, inside)
+            alpha = 2.0 * math.asin(chord / 2.0)
+            center = axis if inside else -axis
+            for _ in range(10):
+                J = rotate_unit(center, _rand_unit(rng),
+                                rng.uniform(0.0, 0.9 * alpha))
+                if not cap.contains_unit(J):
+                    continue
+                try:
+                    K = cap.second_unit(J)
+                except CapTooSmall:
+                    # only caps too narrow to hold a unit 1e-6 away
+                    assert chord < 1e-4
+                    continue
+                assert cap.contains_unit(K)
+                assert (K - J).norm() > 1e-6
+                found += 1
+    assert found > 0
+    with pytest.raises(CapTooSmall):
+        BandCap(QI, 0.0, inside=True).second_unit(QI)
+
+
+def test_whole_sphere_and_grid_second_unit():
+    rng = np.random.default_rng(73)
+    for _ in range(5):
+        J = _rand_unit(rng)
+        assert WholeSphereCap().second_unit(J) == -J
+    verts, edges = icosphere(2)
+    labels = np.where(verts[:, 0] > 0.3, 0, -1)
+    edge = float(np.linalg.norm(verts[edges[0, 0]] - verts[edges[0, 1]]))
+    cap = GridCap(verts, labels, 0, edge)
+    members = verts[labels == 0]
+    for _ in range(5):
+        J = Quaternion(0.0, *members[rng.integers(len(members))])
+        v = np.array(J.components()[1:])
+        want = members[np.argmax(np.linalg.norm(members - v, axis=1))]
+        assert cap.second_unit(J).components() == (0.0, *want)
+    lone = GridCap(verts, np.where(np.arange(len(verts)) == 0, 0, -1), 0, edge)
+    with pytest.raises(CapTooSmall):
+        lone.second_unit(Quaternion(0.0, *verts[0]))
+
+
+def test_cap_cache_is_bounded_lru(monkeypatch):
+    dom = DomainSpec(contains=lambda q: q.norm() < 10.0,
+                     bbox=((-10.0, 10.0),) * 4, label="ball, grid caps")
+    fills = []
+    flood_fill = domains._flood_fill
+
+    def counting_fill(d, x, y, level):
+        fills.append((x, y))
+        return flood_fill(d, x, y, level)
+
+    monkeypatch.setattr(domains, "_flood_fill", counting_fill)
+    step = 16.0   # the 162-vertex icosphere
+    ys = [1.0 + 0.5 * k for k in range(CAP_CACHE_SIZE + 2)]
+    for y in ys:
+        cap_component(dom, QI * y, step)
+        cap_component(dom, QJ * y, step)   # the current sphere: a hit
+        assert len(dom._cap_cache) <= CAP_CACHE_SIZE
+    assert [y for _, y in fills] == ys
+    assert len(dom._cap_cache) == CAP_CACHE_SIZE
+    # the oldest spheres were evicted and are filled again
+    cap_component(dom, QI * ys[0], step)
+    assert len(fills) == len(ys) + 1
+    # a hit makes the oldest sphere the most recent, so it outlives the
+    # next fill
+    oldest = ys[-CAP_CACHE_SIZE + 1]
+    cap_component(dom, QI * oldest, step)
+    cap_component(dom, QI * 9.0, step)
+    cap_component(dom, QI * oldest, step)
+    assert len(fills) == len(ys) + 2

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from sliceregular.domains import DomainSpec, _flood_fill, icosphere
 from sliceregular.douren import (DourenConfig, arc_point, arg_branch,
-                                 cut_distance, f_douren, fixtures, phi_value)
+                                 cut_distance, f_douren, fixtures,
+                                 omega_domain, phi_value)
 from sliceregular.errors import NotInDomain, OnCut, ParamOutOfRange
 from sliceregular.quaternion import QI, QJ, QK, Quaternion, rotate_unit
 from sliceregular.slicefn import spherical_data
@@ -185,3 +187,26 @@ def test_base_unit_config():
     phi0 = fx2.phi0_pbar
     want_v = (phi0 - QJ * math.pi) * 0.5
     assert (d.value - want_v).norm() < 1e-12
+
+
+def test_sphere_clearance_matches_scalar_clearance():
+    # the array hook against the scalar boundary_distance at every level-5
+    # vertex of spheres near -1 + 2S, and the flood fill it drives against
+    # the per-vertex fill of the same domain without the hook
+    dom = omega_domain(CFG, closed_form_caps=False)
+    plain = DomainSpec(contains=dom.contains, bbox=dom.bbox,
+                       boundary_distance=dom.boundary_distance)
+    verts, _ = icosphere(5)
+    spheres = ((-1.0, 2.0), (-1.04, 2.02), (-0.95, 1.97), (-1.08, 2.06),
+               (-0.92, 2.09))
+    for x, y in spheres:
+        got = dom.sphere_clearance(x, y, verts)
+        want = np.array([dom.boundary_distance(Quaternion(x, *(y * v)))
+                         for v in verts])
+        assert np.abs(got - want).max() <= 1e-12
+    x, y = spheres[1]
+    _, lab_hook, e_hook = _flood_fill(dom, x, y, 5)
+    _, lab_plain, e_plain = _flood_fill(plain, x, y, 5)
+    assert e_hook == e_plain
+    assert np.array_equal(lab_hook, lab_plain)
+    assert lab_hook.max() == 1   # the two caps of the sphere

@@ -157,3 +157,14 @@ def test_eval_slice_many_matches_pointwise():
     for k, zz in enumerate(z):
         want = p.eval(embed_complex(complex(zz), u))
         assert np.allclose(block[k], want.components(), atol=1e-12)
+
+
+def test_intersect_domains_sphere_clearance():
+    units = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+    a, b, c = ball(0.0, 2.0), ball(1.0, 2.0), ball(0.0, 3.0)
+    a.sphere_clearance = lambda x, y, u: np.full(len(u), 0.5)
+    b.sphere_clearance = lambda x, y, u: u[:, 0]
+    both = intersect_domains(a, b)
+    assert both.sphere_clearance(0.0, 1.0, units).tolist() == [0.5, 0.0]
+    # one side without the hook: the flood fill needs its contains test
+    assert intersect_domains(a, c).sphere_clearance is None
