@@ -17,8 +17,6 @@ Two modes:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import (DegeneratePair, DomainMismatch, IdenticallyZero,
@@ -94,11 +92,6 @@ class QPoly:
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def right_mul(self, c) -> "QPoly":
-        """f(q)·c (coefficients a_n c)."""
-        c = _as_quat(c)
-        return QPoly([a * c for a in self.coeffs])
 
     def left_mul_real(self, r: float) -> "QPoly":
         return QPoly([a * float(r) for a in self.coeffs])

@@ -27,10 +27,9 @@ from . import douren as douren_mod
 from .algebra import (QPoly, QRational, _as_slicefn, binom, conj_eval,
                       real_quadratic, recip_eval, reciprocal_poly, star_eval,
                       star_product, sym_eval)
-from .domains import preset
 from .errors import EmptyInput, ParamOutOfRange, SliceRegularError
 from .integral import SymmetricRegion, local_cauchy, volume_cauchy
-from .quaternion import QI, QJ, QK, Quaternion, rotate_unit, slice_decompose
+from .quaternion import QI, QJ, Quaternion, rotate_unit, slice_decompose
 from .series import classify_singularity, laurent_coeffs, spherical_coeffs
 from .slicefn import SliceFunction, solve_two_units, spherical_data
 from .zeros import (factor_out_point, factor_out_sphere, multiplicities,

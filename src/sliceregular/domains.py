@@ -115,12 +115,10 @@ class WholeSphereCap:
 class BandCap:
     """Resolver for caps of the form {J : |J - axis| < chord} or its complement."""
 
-    def __init__(self, axis: Quaternion, chord: float, inside: bool,
-                 collar: float = BOUNDARY_TOL):
+    def __init__(self, axis: Quaternion, chord: float, inside: bool):
         self.axis = axis
         self.chord = chord
         self.inside = inside
-        self.collar = collar
 
     def _dist(self, unit):
         return (unit - self.axis).norm()
@@ -128,8 +126,8 @@ class BandCap:
     def contains_unit(self, unit):
         d = self._dist(unit)
         if self.inside:
-            return d < self.chord - self.collar
-        return d > self.chord + self.collar
+            return d < self.chord - BOUNDARY_TOL
+        return d > self.chord + BOUNDARY_TOL
 
     def second_unit(self, unit):
         # the in-cap unit farthest from `unit`: -unit if the cap holds it,

@@ -19,18 +19,24 @@ unit disk centered at -1 the domain retracts onto the slit plane and arg_t
 is the principal argument; inside the disk the branch differs from the
 principal value by -2pi (t < 1/2) or +2pi (t > 1/2) exactly on the pocket
 between the arc and the real segment (-2, 0).
+
+Evaluation raises OnCut within BOUNDARY_TOL of the cut. The distance to the
+arc starts from the nearest point of a fixed 721-point theta grid and
+refines it by Newton steps on |arc(theta) - w|^2, kept within one grid step
+and run until they stall; one routine serves a single t and an array of t.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import QPoly, binom, real_quadratic, star_eval
-from .domains import BandCap, DomainSpec, WholeSphereCap, cap_component
+from .algebra import binom, real_quadratic, star_eval
+from .domains import (BOUNDARY_TOL, BandCap, DomainSpec, WholeSphereCap,
+                      cap_component)
 from .errors import (BadUnitChoice, OnCut, ParamOutOfRange)
 from .quaternion import (QI, Quaternion, embed_complex, perp_unit,
                          rotate_unit, slice_decompose, unit_imaginary)
@@ -42,7 +48,6 @@ TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class DourenConfig:
     base_unit: Quaternion = QI
-    tol: float = 1e-9
 
     def __post_init__(self):
         object.__setattr__(self, "base_unit", unit_imaginary(self.base_unit))
@@ -71,84 +76,62 @@ def _halfline_distance(w: complex) -> float:
     return math.hypot(max(w.real + 2.0, 0.0), w.imag)
 
 
-# the coarse theta grid of the arc distance and the ternary steps refining
-# its minimum, shared by the scalar and the array routine
+# the coarse theta grid of the arc distance, and the Newton refinement of
+# its nearest point: it stops once no step moves theta by more than
+# _ARC_STEP_TOL, or after _ARC_NEWTON_MAX steps. Most points take 2-4; a point
+# near a tip's centre of curvature, where the minimum is flat (quartic),
+# takes up to about 28.
 _ARC_TH = np.linspace(0.0, math.pi, 721)
 _ARC_COS = np.cos(_ARC_TH)
 _ARC_SIN = np.sin(_ARC_TH)
-_ARC_STEPS = 60
-# rows of the array routine's (rows x 721) coarse search held at once
+_ARC_LAST = len(_ARC_TH) - 1
+_ARC_STEP_TOL = 1e-8
+_ARC_NEWTON_MAX = 40
+# a curvature floor: where |arc - w|^2 is not convex the step runs downhill
+# to the end of its bracket
+_ARC_CURV_MIN = 1e-12
+# rows of sphere_clearance's (rows x 721) coarse search held at once
 _ARC_CHUNK = 1024
 
 
-def _arc_distance(t: float, w: complex) -> float:
-    """Distance from w to the half-ellipse arc of parameter t."""
-    b = 1.0 - 2.0 * t
-    if b == 0.0:
-        # the segment [-2, 0]
-        x = min(max(w.real, -2.0), 0.0)
-        return math.hypot(w.real - x, w.imag)
-    pts = (-1.0 + _ARC_COS) + 1j * b * _ARC_SIN
-    d = np.abs(pts - w)
-    i = int(np.argmin(d))
-    lo = _ARC_TH[max(i - 1, 0)]
-    hi = _ARC_TH[min(i + 1, len(_ARC_TH) - 1)]
-
-    def dist(a):
-        return abs(complex(-1.0 + math.cos(a), b * math.sin(a)) - w)
-
-    for _ in range(_ARC_STEPS):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if dist(m1) <= dist(m2):
-            hi = m2
-        else:
-            lo = m1
-    return dist(0.5 * (lo + hi))
-
-
-def _arc_distance_many(t: np.ndarray, w: complex) -> np.ndarray:
-    """_arc_distance(t[k], w) for every k: the same coarse minimum and
-    ternary refinement, run on all distinct t at once."""
-    t, back = np.unique(t, return_inverse=True)
-    b = 1.0 - 2.0 * t
-    out = np.empty(b.shape)
-    seg = b == 0.0
-    x = min(max(w.real, -2.0), 0.0)
-    out[seg] = math.hypot(w.real - x, w.imag)
-    rows = np.flatnonzero(~seg)
-    du = -1.0 + _ARC_COS - w.real
-    last = len(_ARC_TH) - 1
-    for s in range(0, len(rows), _ARC_CHUNK):
-        r = rows[s:s + _ARC_CHUNK]
-        br = b[r]
-        i = np.hypot(du, br[:, None] * _ARC_SIN - w.imag).argmin(axis=1)
-        lo = _ARC_TH[np.maximum(i - 1, 0)]
-        hi = _ARC_TH[np.minimum(i + 1, last)]
-
-        def dist(a):
-            return np.hypot(-1.0 + np.cos(a) - w.real, br * np.sin(a) - w.imag)
-
-        for _ in range(_ARC_STEPS):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            left = dist(m1) <= dist(m2)
-            hi = np.where(left, m2, hi)
-            lo = np.where(left, lo, m1)
-        out[r] = dist(0.5 * (lo + hi))
-    return out[back]
+def _arc_distance(t, w: complex):
+    """Distance from w to the half-ellipse arc of parameter t, a float or a
+    1-D array (then one distance per entry)."""
+    b = 1.0 - 2.0 * np.asarray(t, dtype=float)
+    i = np.hypot(_ARC_COS - 1.0 - w.real,
+                 b[..., None] * _ARC_SIN - w.imag).argmin(axis=-1)
+    lo = _ARC_TH[np.maximum(i - 1, 0)]
+    hi = _ARC_TH[np.minimum(i + 1, _ARC_LAST)]
+    # start mid-bracket: at a tip theta = 0 or pi the squared distance is
+    # stationary when t = 1/2 or w is real, and Newton would stay there
+    th = 0.5 * (lo + hi)
+    for _ in range(_ARC_NEWTON_MAX):
+        c = np.cos(th)
+        s = np.sin(th)
+        u = c - 1.0 - w.real
+        v = b * s - w.imag
+        # first and second theta-derivatives of |arc(theta) - w|^2 / 2
+        g1 = b * v * c - u * s
+        g2 = s * s - u * c + b * b * c * c - b * v * s
+        prev = th
+        th = np.minimum(np.maximum(th - g1 / np.maximum(g2, _ARC_CURV_MIN),
+                                   lo), hi)
+        if np.all(np.abs(th - prev) <= _ARC_STEP_TOL):
+            break
+    return np.hypot(np.cos(th) - 1.0 - w.real, b * np.sin(th) - w.imag)
 
 
 def cut_distance(t: float, w: complex) -> float:
-    """Distance from w to the full cut set of phi_t."""
+    """Distance from w to the full cut set of phi_t: the half-line, and the
+    arc through _arc_distance (coarse grid plus Newton refinement)."""
     d = _halfline_distance(w)
     # cheap reject: the arc lies in the closed unit disk centered -1
     if abs(w + 1.0) > 1.0 + d:
         return d
-    return min(d, _arc_distance(t, w))
+    return min(d, float(_arc_distance(t, w)))
 
 
-def arg_branch(t: float, w, tol: float = 1e-9) -> float:
+def arg_branch(t: float, w) -> float:
     """Continuous argument on the cut plane, with arg_t(x) = 0 for x > 0.
 
     w may be complex or a quaternion in the base slice (projected via its
@@ -160,8 +143,8 @@ def arg_branch(t: float, w, tol: float = 1e-9) -> float:
     w = complex(w)
     if not 0.0 <= t <= 1.0:
         raise ParamOutOfRange("t must be in [0, 1]")
-    if cut_distance(t, w) <= tol:
-        raise OnCut("point within %g of the branch cut" % tol)
+    if cut_distance(t, w) <= BOUNDARY_TOL:
+        raise OnCut("point within %g of the branch cut" % BOUNDARY_TOL)
     u = w.real + 1.0
     v = w.imag
     principal = math.atan2(v, w.real)
@@ -199,10 +182,10 @@ def _arg_branch_vec(t: float, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def phi_value(t: float, z: complex, tol: float = 1e-9) -> complex:
+def phi_value(t: float, z: complex) -> complex:
     """phi_t at the slice coordinate z = x + iy, as a complex number."""
     w = z - 2j
-    return 0.5 * math.log((w * w.conjugate()).real) + 1j * arg_branch(t, w, tol)
+    return 0.5 * math.log((w * w.conjugate()).real) + 1j * arg_branch(t, w)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +206,6 @@ def _sphere_band(x: float, y: float):
 
 def omega_domain(cfg: DourenConfig, closed_form_caps: bool = True) -> DomainSpec:
     I = cfg.base_unit
-    tol = cfg.tol
 
     def clearance(q: Quaternion) -> float:
         sc = slice_decompose(q)
@@ -239,7 +221,7 @@ def omega_domain(cfg: DourenConfig, closed_form_caps: bool = True) -> DomainSpec
         return d
 
     def contains(q: Quaternion) -> bool:
-        return clearance(q) > tol
+        return clearance(q) > BOUNDARY_TOL
 
     def sphere_clearance(x: float, y: float, units: np.ndarray) -> np.ndarray:
         # clearance(x + y*unit) for every row: the sphere fixes w, so the
@@ -250,7 +232,11 @@ def omega_domain(cfg: DourenConfig, closed_form_caps: bool = True) -> DomainSpec
         d_half = _halfline_distance(w)
         d = np.full(chord.shape, d_half)
         if abs(w + 1.0) <= 1.0 + d_half:
-            d = np.minimum(d, _arc_distance_many(chord, w))
+            # few distinct chords: the arc distance runs on those only
+            t, back = np.unique(chord, return_inverse=True)
+            arc = np.concatenate([_arc_distance(t[s:s + _ARC_CHUNK], w)
+                                  for s in range(0, len(t), _ARC_CHUNK)])
+            d = np.minimum(d, arc[back])
         band = _sphere_band(x, y)
         if band is not None and 0.0 < band < 1.0:
             d = np.minimum(d, np.abs(chord - band) * y)
@@ -261,11 +247,10 @@ def omega_domain(cfg: DourenConfig, closed_form_caps: bool = True) -> DomainSpec
         if band is None:
             return [WholeSphereCap()]
         if band <= 0.0:
-            return [BandCap(I, 0.0, inside=False, collar=tol)]
+            return [BandCap(I, 0.0, inside=False)]
         if band >= 1.0:
-            return [BandCap(I, 1.0, inside=True, collar=tol)]
-        return [BandCap(I, band, inside=True, collar=tol),
-                BandCap(I, band, inside=False, collar=tol)]
+            return [BandCap(I, 1.0, inside=True)]
+        return [BandCap(I, band, inside=True), BandCap(I, band, inside=False)]
 
     lim = 50.0
     return DomainSpec(contains=contains,
@@ -284,8 +269,10 @@ def f_t_value(cfg: DourenConfig, t: float, q: Quaternion) -> Quaternion:
     """The one-slice extension of phi_t, at an arbitrary point q."""
     sc = slice_decompose(q)
     z = complex(sc.x, sc.y)
-    A = phi_value(t, z, cfg.tol)
-    B = phi_value(t, z.conjugate(), cfg.tol)
+    A = phi_value(t, z)
+    # conj(z) - 2i lies outside the unit disk about -1, where the branch is
+    # the principal one, and below every cut: phi_t there needs no cut test
+    B = cmath.log(z.conjugate() - 2j)
     b = 0.5 * (A + B)
     c = (A - B) / 2j
     base = embed_complex(b, cfg.base_unit)
@@ -296,7 +283,7 @@ def f_t_value(cfg: DourenConfig, t: float, q: Quaternion) -> Quaternion:
 
 def f_douren(cfg: DourenConfig, q: Quaternion) -> Quaternion:
     """The counterexample function f: on the slice of q it is the extension
-    of phi_{T(J)}; raises OnCut within tol of the removed cut."""
+    of phi_{T(J)}; raises OnCut within BOUNDARY_TOL of the removed cut."""
     sc = slice_decompose(q)
     t = 0.0 if sc.unit is None else cfg.t_of(sc.unit)
     return f_t_value(cfg, t, q)
@@ -369,7 +356,7 @@ def fixtures(cfg: DourenConfig | None = None,
     # the locally-slice difference D = f_1 - f_0 on the open solid torus
     def torus_contains(q):
         sc = slice_decompose(q)
-        return (sc.x + 1.0) ** 2 + (sc.y - 2.0) ** 2 < (1.0 - cfg.tol) ** 2
+        return (sc.x + 1.0) ** 2 + (sc.y - 2.0) ** 2 < (1.0 - BOUNDARY_TOL) ** 2
 
     torus = DomainSpec(contains=torus_contains,
                        bbox=((-2.0, 0.0), (-3.0, 3.0), (-3.0, 3.0), (-3.0, 3.0)),
@@ -417,7 +404,7 @@ def fixtures(cfg: DourenConfig | None = None,
 
     cap_plus = cap_component(dom, p)
     cap_minus = cap_component(dom, pbar)
-    phi0_pbar = embed_complex(phi_value(0.0, complex(-1.0, -2.0), cfg.tol), I)
+    phi0_pbar = embed_complex(phi_value(0.0, complex(-1.0, -2.0)), I)
 
     fplus = f.spherical(p)
 

@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import (BadUnitChoice, OpenContour, ProbeOutside,
                      ProbeOutsideValidated)
-from .quaternion import (ONE, Quaternion, emb_arr, embed_complex, perp_unit,
+from .quaternion import (Quaternion, emb_arr, embed_complex, perp_unit,
                          project_to_slice, qconj_arr, qinv_arr, qmul_arr,
-                         qnorm2_arr, rotate_unit, slice_decompose)
+                         rotate_unit, slice_decompose)
 
 _CLOSE_TOL = 1e-12
 
@@ -119,9 +119,6 @@ class Contour:
             else:
                 pieces.append(Arc(center, radius, 2.0 * math.pi, 0.0))
         return cls(unit=unit, pieces=tuple(pieces), nodes=nodes)
-
-    def with_nodes(self, nodes: int) -> "Contour":
-        return Contour(self.unit, self.pieces, nodes)
 
     def samples(self):
         """(points, weighted velocities) for all pieces, concatenated."""

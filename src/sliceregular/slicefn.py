@@ -14,16 +14,13 @@ never assumes the antipodal point x-yJ is available.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import domains as dom_mod
 from .domains import CapId, DomainSpec, cap_component, whole_space
 from .errors import (NotInDomain, OnRealAxis, RealTraceMismatch, UnitsEqual)
-from .quaternion import (ONE, Quaternion, ZERO, embed_complex, perp_unit,
-                         slice_decompose)
+from .quaternion import ONE, Quaternion, embed_complex, slice_decompose
 
 
 @dataclass(frozen=True)

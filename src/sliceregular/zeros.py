@@ -293,12 +293,9 @@ def divides_near(f: SliceFunction, p_tilde: Quaternion, cap: CapId,
 def vanishes_on_cap(f: SliceFunction, cap: CapId, probes: int = 20,
                     tol: float = _CAP_TOL) -> bool:
     rng = np.random.default_rng(54321)
-    ref = 0.0
     vals = []
     for u in cap.sample_units(probes, rng):
-        v = f.eval_unchecked(cap.point(u))
-        vals.append(v.norm())
-        ref = max(ref, v.norm())
+        vals.append(f.eval_unchecked(cap.point(u)).norm())
     scale = max(1.0, cap.y)
     return all(v <= tol * scale for v in vals)
 
@@ -449,7 +446,7 @@ def multiplicities(f, p: Quaternion, cap: CapId | None = None,
 
 def newton_polish_on_slice(f, z0: complex, unit: Quaternion, iters: int = 6):
     """Newton refinement of a zero of the slice restriction f_I."""
-    from .quaternion import embed_complex, project_to_slice
+    from .quaternion import embed_complex
     z = z0
     for _ in range(iters):
         q = embed_complex(z, unit)
@@ -578,7 +575,6 @@ def zero_scan(f: SliceFunction, dom=None, resolution: float = 0.05,
                 spheres.append((sx, sy))
     done_caps = set()
     for (x, y) in spheres:
-        base = Quaternion(x) + Quaternion(0, 1, 0, 0) * y
         for u in WHOLE_SPHERE_PROBES:
             q = Quaternion(x) + u * y
             if not dom.contains(q):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sliceregular.domains import DomainSpec, _flood_fill, icosphere
+from sliceregular import douren
+from sliceregular.domains import (BOUNDARY_TOL, DomainSpec, _flood_fill,
+                                  icosphere)
 from sliceregular.douren import (DourenConfig, arc_point, arg_branch,
                                  cut_distance, f_douren, fixtures,
                                  omega_domain, phi_value)
@@ -210,3 +212,124 @@ def test_sphere_clearance_matches_scalar_clearance():
     assert e_hook == e_plain
     assert np.array_equal(lab_hook, lab_plain)
     assert lab_hook.max() == 1   # the two caps of the sphere
+
+
+# the 60-step ternary arc distance the Newton refinement replaced, kept as an
+# independent reference
+_REF_TH = np.linspace(0.0, math.pi, 721)
+
+
+def _ref_arc_distance(t, w):
+    b = 1.0 - 2.0 * t
+    if b == 0.0:
+        # the segment [-2, 0]
+        x = min(max(w.real, -2.0), 0.0)
+        return math.hypot(w.real - x, w.imag)
+    pts = (-1.0 + np.cos(_REF_TH)) + 1j * b * np.sin(_REF_TH)
+    d = np.abs(pts - w)
+    i = int(np.argmin(d))
+    lo = _REF_TH[max(i - 1, 0)]
+    hi = _REF_TH[min(i + 1, len(_REF_TH) - 1)]
+
+    def dist(a):
+        return abs(complex(-1.0 + math.cos(a), b * math.sin(a)) - w)
+
+    for _ in range(60):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if dist(m1) <= dist(m2):
+            hi = m2
+        else:
+            lo = m1
+    return dist(0.5 * (lo + hi))
+
+
+def _ref_cut_distance(t, w):
+    d = math.hypot(max(w.real + 2.0, 0.0), w.imag)
+    if abs(w + 1.0) > 1.0 + d:
+        return d
+    return min(d, _ref_arc_distance(t, w))
+
+
+def _arc_probe_points(rng, n):
+    """(t, w) pairs: a box, offsets of 1e-12..1e-1 from the arc, t = 1/2,
+    t within 1e-6 of 1/2, near the ellipse centre, near the arc's end
+    centres of curvature, within 5e-6 of the tips w = 0 and w = -2."""
+    out = []
+    for _ in range(n):
+        out.append((rng.uniform(0, 1),
+                    complex(rng.uniform(-3, 1), rng.uniform(-2, 2))))
+        t, th = rng.uniform(0, 1), rng.uniform(0, math.pi)
+        b = 1.0 - 2.0 * t
+        normal = complex(b * math.cos(th), math.sin(th))
+        off = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, -1)
+        out.append((t, complex(-1.0 + math.cos(th), b * math.sin(th))
+                    + off * normal / abs(normal)))
+        for t in (0.5, 0.5 + rng.uniform(-1e-6, 1e-6)):
+            out.append((t, complex(rng.uniform(-3, 1),
+                                   rng.uniform(-1, 1)
+                                   * 10 ** rng.uniform(-12, 0))))
+        out.append((rng.uniform(0, 1), complex(-1.0 + 0.05 * rng.normal(),
+                                               0.05 * rng.normal())))
+        t = rng.uniform(0, 1)
+        x = (1.0 - 2.0 * t) ** 2
+        x = -x if rng.random() < 0.5 else x - 2.0
+        out.append((t, complex(x + 1e-3 * rng.normal(), 1e-3 * rng.normal())))
+        t = rng.choice([0.5, 0.5 + 1e-7, 0.5 - 1e-7, 0.5005, 0.4995,
+                        rng.uniform(0, 1)])
+        x = rng.uniform(-5e-6, 0.0)
+        y = rng.choice([0.0, rng.uniform(-1, 1) * 10 ** rng.uniform(-14, -6)])
+        out.append((t, complex(x, y)))
+        out.append((t, complex(-2.0 - x, y)))
+    return out
+
+
+# points within BOUNDARY_TOL of the cut next to a tip of the arc, where the
+# squared distance is stationary at the tip itself (distances 0, 1e-10, 0,
+# 2.8e-10, 2.8e-10)
+_TIP_ON_CUT = [(0.5, complex(-1e-6, 0.0)),
+               (0.5, complex(-1e-6, 1e-10)),
+               (0.5, complex(-2.0 + 1e-6, 0.0)),
+               (0.5 + 1e-7, complex(-1e-6, 0.0)),
+               (0.5 - 1e-7, complex(-1e-6, 0.0))]
+
+
+def test_cut_distance_matches_ternary_reference():
+    rng = np.random.default_rng(71)
+    pts = _arc_probe_points(rng, 300) + _TIP_ON_CUT
+    worst = max(abs(cut_distance(t, w) - _ref_cut_distance(t, w))
+                for t, w in pts)
+    assert worst <= 1e-12
+
+
+def test_arg_branch_rejects_points_by_the_arc_tips():
+    for t, w in _TIP_ON_CUT:
+        assert cut_distance(t, w) <= BOUNDARY_TOL
+        with pytest.raises(OnCut):
+            arg_branch(t, w)
+
+
+def test_arc_distance_array_form_matches_float_form():
+    rng = np.random.default_rng(72)
+    ts = np.concatenate([[0.0, 0.5, 1.0, 0.5 + 1e-9],
+                         rng.uniform(0.0, 1.0, 60)])
+    for _, w in _arc_probe_points(rng, 5):
+        got = douren._arc_distance(ts, w)
+        want = np.array([douren._arc_distance(t, w) for t in ts])
+        assert got.shape == ts.shape
+        assert np.abs(got - want).max() <= 1e-14
+
+
+def test_off_axis_eval_runs_one_cut_test(monkeypatch):
+    # the guard runs at z only: conj(z) - 2i lies below every cut
+    seen = []
+    real = douren.cut_distance
+
+    def counted(t, w):
+        seen.append(w)
+        return real(t, w)
+
+    monkeypatch.setattr(douren, "cut_distance", counted)
+    q = Quaternion(-0.4) + c_minus_unit(2.5) * 1.7
+    f_douren(CFG, q)
+    assert len(seen) == 1 and abs(seen[0] - complex(-0.4, -0.3)) < 1e-12
