@@ -13,6 +13,13 @@ Two modes:
   derivative) alone. Nothing ever pairs q with its conjugate point q-bar:
   on a non-symmetric domain q-bar may sit in a different cap, or outside
   the domain altogether.
+
+Along a slice the same calculus runs on stem rows: an (N, 2, 4) array S
+with f(x+yJ) = S[:, 0] + J S[:, 1] on a cap, one row per z = x + iy. On a
+cap, f*g has the stem pair (b1 b2 - c1 c2, b1 c2 + c1 b2), f^c has
+(conj b, conj c), f^s the real pair (|b|^2 - |c|^2, 2 re(b conj c)), and a
+function with real-coefficient values w(z) = u + iv in each slice (a real
+polynomial, its inverse) scales a pair as (u b - v c, v b + u c).
 """
 
 from __future__ import annotations
@@ -21,8 +28,7 @@ import numpy as np
 
 from .errors import (DegeneratePair, DomainMismatch, IdenticallyZero,
                      SymmetrizationZero, ZeroPolynomial)
-from .quaternion import (ONE, Quaternion, ZERO, emb_arr, qmul_arr,
-                         slice_decompose)
+from .quaternion import ONE, Quaternion, ZERO, qmul_arr, slice_decompose
 
 _COEFF_REAL_TOL = 1e-9
 
@@ -136,17 +142,19 @@ class QPoly:
 
     __call__ = eval
 
+    def stems(self, z: np.ndarray) -> np.ndarray:
+        """Stem rows at z = x+iy: b = sum re(z^n) a_n, c = sum im(z^n) a_n,
+        the same for every unit, as (N, 2, 4)."""
+        z = np.atleast_1d(z).astype(complex)
+        if not self.coeffs:
+            return np.zeros((z.size, 2, 4))
+        a = np.array([c.components() for c in self.coeffs])
+        pw = np.vander(z, len(self.coeffs), increasing=True)
+        return np.stack([pw.real @ a, pw.imag @ a], axis=1)
+
     def eval_slice_many(self, z: np.ndarray, unit: Quaternion) -> np.ndarray:
         """Vectorized evaluation at x+y*unit for complex z = x+iy, as (N,4)."""
-        z = np.atleast_1d(z).astype(complex)
-        out = np.zeros((z.size, 4))
-        pw = np.ones_like(z)
-        for c in self.coeffs:
-            out += qmul_arr(emb_arr(pw, unit),
-                            np.broadcast_to(np.array(c.components()),
-                                            (z.size, 4)))
-            pw = pw * z
-        return out
+        return stem_values(self.stems(z), unit)
 
     def cullen(self) -> "QPoly":
         """Exact Cullen derivative a1 + q·2a2 + ... + q^{n-1}·n·a_n."""
@@ -236,11 +244,14 @@ class QRational:
 
     __call__ = eval
 
-    def eval_slice_many(self, z, unit):
+    def stems(self, z):
+        """Stem rows of the numerator scaled by 1/den(z), as (N, 2, 4)."""
         z = np.atleast_1d(z).astype(complex)
         dv = np.polyval(list(reversed(self.den.real_coeffs())), z)
-        nv = self.num.eval_slice_many(z, unit)
-        return qmul_arr(emb_arr(1.0 / dv, unit), nv)
+        return scale_stems(1.0 / dv, self.num.stems(z))
+
+    def eval_slice_many(self, z, unit):
+        return stem_values(self.stems(z), unit)
 
     def cullen_eval(self, q: Quaternion) -> Quaternion:
         d = self.den.eval(q)
@@ -324,6 +335,61 @@ def reciprocal_poly(f: QPoly) -> QRational:
     if f.is_zero():
         raise ZeroPolynomial("reciprocal of the zero polynomial")
     return QRational(f.conjugate(), f.symmetrize())
+
+
+# ---------------------------------------------------------------------------
+# Stem-row kernels: S[:, 0] = b and S[:, 1] = c with f(x+yJ) = b + J c
+
+def stem_values(S: np.ndarray, unit: Quaternion) -> np.ndarray:
+    """b + unit·c for every row, as (N, 4)."""
+    u = np.array([[0.0, unit.x, unit.y, unit.z]])
+    return S[:, 0] + qmul_arr(u, S[:, 1])
+
+
+def scale_stems(w: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The pair of (u + J v)(b + J c) for complex w = u + iv per row."""
+    u = w.real[:, None]
+    v = w.imag[:, None]
+    return np.stack([u * S[:, 0] - v * S[:, 1], v * S[:, 0] + u * S[:, 1]],
+                    axis=1)
+
+
+def star_stems(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The pair of f*g: (b1 b2 - c1 c2, b1 c2 + c1 b2)."""
+    b1, c1, b2, c2 = S[:, 0], S[:, 1], T[:, 0], T[:, 1]
+    return np.stack([qmul_arr(b1, b2) - qmul_arr(c1, c2),
+                     qmul_arr(b1, c2) + qmul_arr(c1, b2)], axis=1)
+
+
+def conj_stems(S: np.ndarray) -> np.ndarray:
+    """The pair of f^c: (conj b, conj c)."""
+    out = S.copy()
+    out[:, :, 1:] *= -1.0
+    return out
+
+
+def _sym_complex(S: np.ndarray) -> np.ndarray:
+    """f^s = (|b|^2 - |c|^2) + J 2 re(b conj c) per row, as a complex u + iv."""
+    b, c = S[:, 0], S[:, 1]
+    return (np.einsum("ij,ij->i", b, b) - np.einsum("ij,ij->i", c, c)
+            + 2j * np.einsum("ij,ij->i", b, c))
+
+
+def sym_stems(S: np.ndarray) -> np.ndarray:
+    """The real pair of f^s."""
+    w = _sym_complex(S)
+    out = np.zeros_like(S)
+    out[:, 0, 0] = w.real
+    out[:, 1, 0] = w.imag
+    return out
+
+
+def recip_stems(S: np.ndarray) -> np.ndarray:
+    """The pair of f^{-*} = (f^s)^{-1} f^c."""
+    w = _sym_complex(S)
+    if not np.all(w):
+        raise DegeneratePair("Phi undefined: |a| = |b| and re(a conj(b)) = 0")
+    return scale_stems(1.0 / w, conj_stems(S))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +488,9 @@ def star_product(f, g):
     g = _as_slicefn(g)
     dom = intersect_domains(f.domain, g.domain)
     return SliceFunction(dom, lambda q: star_eval(f, g, q),
-                         backing="composite", label="star")
+                         backing="composite", label="star",
+                         slice_many=lambda z, unit: star_stems(
+                             f.stems(z, unit), g.stems(z, unit)))
 
 
 def conjugate(f):
@@ -431,7 +499,9 @@ def conjugate(f):
     from .slicefn import SliceFunction
     f = _as_slicefn(f)
     return SliceFunction(f.domain, lambda q: conj_eval(f, q),
-                         backing="composite", label="conj")
+                         backing="composite", label="conj",
+                         slice_many=lambda z, unit: conj_stems(
+                             f.stems(z, unit)))
 
 
 def symmetrize(f):
@@ -440,7 +510,9 @@ def symmetrize(f):
     from .slicefn import SliceFunction
     f = _as_slicefn(f)
     return SliceFunction(f.domain, lambda q: sym_eval(f, q),
-                         backing="composite", label="sym")
+                         backing="composite", label="sym",
+                         slice_many=lambda z, unit: sym_stems(
+                             f.stems(z, unit)))
 
 
 def reciprocal(f):
@@ -451,7 +523,9 @@ def reciprocal(f):
     from .slicefn import SliceFunction
     f = _as_slicefn(f)
     return SliceFunction(f.domain, lambda q: recip_eval(f, q),
-                         backing="composite", label="recip")
+                         backing="composite", label="recip",
+                         slice_many=lambda z, unit: recip_stems(
+                             f.stems(z, unit)))
 
 
 def _as_slicefn(f):

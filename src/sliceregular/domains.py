@@ -21,7 +21,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import (CapTooSmall, EmptyInput, NotInDomain, OnRealAxis,
                      ParamOutOfRange)
-from .quaternion import Quaternion, rotate_unit, same_slice, slice_decompose
+from .quaternion import (Quaternion, embed_complex, rotate_unit, same_slice,
+                         slice_decompose)
 
 BOUNDARY_TOL = 1e-9
 # angle by which BandCap.second_unit keeps its unit inside the cap collar:
@@ -46,8 +47,10 @@ class DomainSpec:
     cap_structure: optional (x, y) -> list of cap descriptors, a closed-form
         replacement for the grid flood fill.
     sphere_clearance: optional (x, y, units (N,3) array) -> float array, the
-        boundary_distance of every x + y*unit at once; the flood fill then
-        makes one call per sphere instead of one per grid vertex.
+        boundary_distance of every x + y*unit at once (y >= 0); x and y may
+        be floats or arrays broadcast against the unit rows. The flood fill
+        makes one call per sphere instead of one per grid vertex, and a
+        contour along a slice one call for all its nodes.
     """
 
     contains: object
@@ -66,6 +69,36 @@ class DomainSpec:
     def require(self, q: Quaternion):
         if not self.contains(q):
             raise NotInDomain("%r is not in domain %s" % (q, self.label or "?"))
+
+
+def slice_clearance(dom: DomainSpec, z: np.ndarray,
+                    unit: Quaternion) -> np.ndarray:
+    """Boundary clearance of x + y*unit for each z = x + iy.
+
+    One sphere_clearance call when the domain has the hook (a row with
+    y < 0 is the point x + |y|(-unit)); otherwise point by point: -inf off
+    the domain, else boundary_distance (+inf without one).
+    """
+    z = np.asarray(z, dtype=complex)
+    if dom.sphere_clearance is not None:
+        u = np.array([[unit.x, unit.y, unit.z]])
+        u = np.where(z.imag[..., None] < 0.0, -u, u)
+        return dom.sphere_clearance(z.real, np.abs(z.imag), u)
+    out = np.full(z.shape, -np.inf)
+    for k, zz in enumerate(z.flat):
+        q = embed_complex(complex(zz), unit)
+        if dom.contains(q):
+            out.flat[k] = (dom.boundary_distance(q)
+                           if dom.boundary_distance is not None else np.inf)
+    return out
+
+
+def require_slice_points(dom: DomainSpec, z: np.ndarray, unit: Quaternion):
+    """NotInDomain unless every x + y*unit (z = x + iy) clears the boundary
+    by more than BOUNDARY_TOL: one slice_clearance call."""
+    if not np.all(slice_clearance(dom, z, unit) > BOUNDARY_TOL):
+        raise NotInDomain("a slice point along %r is not in domain %s"
+                          % (unit, dom.label or "?"))
 
 
 @dataclass
@@ -432,10 +465,16 @@ def ball(center: float = 0.0, radius: float = 1.0) -> DomainSpec:
 
 
 def whole_space(limit: float = 1e6) -> DomainSpec:
+    def sphere_clearance(x, y, units):
+        d = limit - np.hypot(x, y)
+        return np.broadcast_to(d, np.broadcast_shapes(np.shape(d),
+                                                      units.shape[:-1]))
+
     return DomainSpec(contains=lambda q: q.norm() < limit,
                       bbox=((-limit, limit),) * 4,
                       label="H", symmetric=True,
-                      boundary_distance=lambda q: limit - q.norm())
+                      boundary_distance=lambda q: limit - q.norm(),
+                      sphere_clearance=sphere_clearance)
 
 
 def preset(name: str, **kw) -> DomainSpec:

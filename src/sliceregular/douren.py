@@ -20,10 +20,12 @@ is the principal argument; inside the disk the branch differs from the
 principal value by -2pi (t < 1/2) or +2pi (t > 1/2) exactly on the pocket
 between the arc and the real segment (-2, 0).
 
-Evaluation raises OnCut within BOUNDARY_TOL of the cut. The distance to the
-arc starts from the nearest point of a fixed 721-point theta grid and
+Evaluation raises OnCut within BOUNDARY_TOL of the cut; the fixtures'
+evaluators leave that test to the membership check of a checked call, and
+their stem rows come from the same closed form on whole arrays. The distance
+to the arc starts from the nearest point of a fixed 721-point theta grid and
 refines it by Newton steps on |arc(theta) - w|^2, kept within one grid step
-and run until they stall; one routine serves a single t and an array of t.
+and run until they stall; one routine serves floats and arrays of t and w.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import binom, real_quadratic, star_eval
+from .algebra import binom, real_quadratic, scale_stems, star_eval, star_stems
 from .domains import (BOUNDARY_TOL, BandCap, DomainSpec, WholeSphereCap,
                       cap_component)
 from .errors import (BadUnitChoice, OnCut, ParamOutOfRange)
-from .quaternion import (QI, Quaternion, embed_complex, perp_unit,
+from .quaternion import (QI, Quaternion, emb_arr, embed_complex, perp_unit,
                          rotate_unit, slice_decompose, unit_imaginary)
 from .slicefn import SliceFunction
 
@@ -90,16 +92,24 @@ _ARC_NEWTON_MAX = 40
 # a curvature floor: where |arc - w|^2 is not convex the step runs downhill
 # to the end of its bracket
 _ARC_CURV_MIN = 1e-12
-# rows of sphere_clearance's (rows x 721) coarse search held at once
-_ARC_CHUNK = 1024
+# rows of sphere_clearance's (rows x 721) coarse search held at once: two
+# such arrays of 64 rows take 0.74 MB
+_ARC_CHUNK = 64
 
 
-def _arc_distance(t, w: complex):
-    """Distance from w to the half-ellipse arc of parameter t, a float or a
-    1-D array (then one distance per entry)."""
+def _arc_distance(t, w):
+    """Distance from w to the half-ellipse arc of parameter t. t and w are
+    floats or arrays broadcast against each other: one distance per entry."""
     b = 1.0 - 2.0 * np.asarray(t, dtype=float)
-    i = np.hypot(_ARC_COS - 1.0 - w.real,
-                 b[..., None] * _ARC_SIN - w.imag).argmin(axis=-1)
+    w = np.asarray(w, dtype=complex)
+    wr, wi = w.real, w.imag
+    # nearest grid point, from squared distances built in place
+    d2 = b[..., None] * _ARC_SIN - wi[..., None]
+    d2 *= d2
+    dx = _ARC_COS - 1.0 - wr[..., None]
+    dx *= dx
+    d2 += dx
+    i = d2.argmin(axis=-1)
     lo = _ARC_TH[np.maximum(i - 1, 0)]
     hi = _ARC_TH[np.minimum(i + 1, _ARC_LAST)]
     # start mid-bracket: at a tip theta = 0 or pi the squared distance is
@@ -108,8 +118,8 @@ def _arc_distance(t, w: complex):
     for _ in range(_ARC_NEWTON_MAX):
         c = np.cos(th)
         s = np.sin(th)
-        u = c - 1.0 - w.real
-        v = b * s - w.imag
+        u = c - 1.0 - wr
+        v = b * s - wi
         # first and second theta-derivatives of |arc(theta) - w|^2 / 2
         g1 = b * v * c - u * s
         g2 = s * s - u * c + b * b * c * c - b * v * s
@@ -118,7 +128,7 @@ def _arc_distance(t, w: complex):
                                    lo), hi)
         if np.all(np.abs(th - prev) <= _ARC_STEP_TOL):
             break
-    return np.hypot(np.cos(th) - 1.0 - w.real, b * np.sin(th) - w.imag)
+    return np.hypot(np.cos(th) - 1.0 - wr, b * np.sin(th) - wi)
 
 
 def cut_distance(t: float, w: complex) -> float:
@@ -145,6 +155,11 @@ def arg_branch(t: float, w) -> float:
         raise ParamOutOfRange("t must be in [0, 1]")
     if cut_distance(t, w) <= BOUNDARY_TOL:
         raise OnCut("point within %g of the branch cut" % BOUNDARY_TOL)
+    return _branch_arg(t, w)
+
+
+def _branch_arg(t: float, w: complex) -> float:
+    """arg_t(w) in closed form, without the cut-distance guard."""
     u = w.real + 1.0
     v = w.imag
     principal = math.atan2(v, w.real)
@@ -166,7 +181,7 @@ def arg_branch(t: float, w) -> float:
 
 
 def _arg_branch_vec(t: float, w: np.ndarray) -> np.ndarray:
-    """Vectorized arg_branch without the cut-distance guard."""
+    """Vectorized _branch_arg (no cut-distance guard)."""
     u = w.real + 1.0
     v = w.imag
     out = np.arctan2(v, w.real)
@@ -223,24 +238,34 @@ def omega_domain(cfg: DourenConfig, closed_form_caps: bool = True) -> DomainSpec
     def contains(q: Quaternion) -> bool:
         return clearance(q) > BOUNDARY_TOL
 
-    def sphere_clearance(x: float, y: float, units: np.ndarray) -> np.ndarray:
-        # clearance(x + y*unit) for every row: the sphere fixes w, so the
-        # half-line term and the cheap reject of cut_distance are shared
+    def sphere_clearance(x, y, units: np.ndarray) -> np.ndarray:
+        # clearance(x + y*unit) for every row, x and y broadcast against the
+        # rows: the half-line term and the cheap reject of cut_distance run
+        # on whole arrays, the arc distance on the rows it does not reject
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        w = x + 1j * (y - 2.0)
         chord = np.minimum(
-            np.linalg.norm(units - [I.x, I.y, I.z], axis=1), 1.0)
-        w = complex(x, y - 2.0)
-        d_half = _halfline_distance(w)
-        d = np.full(chord.shape, d_half)
-        if abs(w + 1.0) <= 1.0 + d_half:
-            # few distinct chords: the arc distance runs on those only
-            t, back = np.unique(chord, return_inverse=True)
-            arc = np.concatenate([_arc_distance(t[s:s + _ARC_CHUNK], w)
-                                  for s in range(0, len(t), _ARC_CHUNK)])
-            d = np.minimum(d, arc[back])
-        band = _sphere_band(x, y)
-        if band is not None and 0.0 < band < 1.0:
-            d = np.minimum(d, np.abs(chord - band) * y)
-        return d
+            np.linalg.norm(units - [I.x, I.y, I.z], axis=-1), 1.0)
+        chord, wb = np.broadcast_arrays(chord, w)
+        d = np.hypot(np.maximum(wb.real + 2.0, 0.0), wb.imag)
+        near = np.abs(wb + 1.0) <= 1.0 + d
+        t, back = chord[near], slice(None)
+        if w.ndim == 0:
+            # one sphere: w is shared and few chords are distinct
+            t, back = np.unique(t, return_inverse=True)
+        ws = np.broadcast_to(w, t.shape) if w.ndim == 0 else wb[near]
+        if t.size:
+            arc = np.concatenate([
+                _arc_distance(t[s:s + _ARC_CHUNK], ws[s:s + _ARC_CHUNK])
+                for s in range(0, t.size, _ARC_CHUNK)])
+            d[near] = np.minimum(d[near], arc[back])
+        # the cap collar of _sphere_band, where the sphere has two caps
+        s2 = 1.0 - (x + 1.0) ** 2
+        vv = (y - 2.0) / np.sqrt(np.where(s2 > 0.0, s2, 1.0))
+        band = 0.5 * (1.0 - vv)
+        collar = (s2 > 0.0) & (np.abs(vv) < 1.0 - 1e-14)
+        return np.where(collar, np.minimum(d, np.abs(chord - band) * y), d)
 
     def cap_structure(x: float, y: float):
         band = _sphere_band(x, y)
@@ -265,11 +290,9 @@ def omega_domain(cfg: DourenConfig, closed_form_caps: bool = True) -> DomainSpec
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def f_t_value(cfg: DourenConfig, t: float, q: Quaternion) -> Quaternion:
-    """The one-slice extension of phi_t, at an arbitrary point q."""
-    sc = slice_decompose(q)
+def _extend(cfg: DourenConfig, sc, A: complex) -> Quaternion:
+    """b + J c at q = x + yJ (slice coordinates sc) from A = phi_t(z)."""
     z = complex(sc.x, sc.y)
-    A = phi_value(t, z)
     # conj(z) - 2i lies outside the unit disk about -1, where the branch is
     # the principal one, and below every cut: phi_t there needs no cut test
     B = cmath.log(z.conjugate() - 2j)
@@ -281,6 +304,12 @@ def f_t_value(cfg: DourenConfig, t: float, q: Quaternion) -> Quaternion:
     return base + sc.unit * embed_complex(c, cfg.base_unit)
 
 
+def f_t_value(cfg: DourenConfig, t: float, q: Quaternion) -> Quaternion:
+    """The one-slice extension of phi_t, at an arbitrary point q."""
+    sc = slice_decompose(q)
+    return _extend(cfg, sc, phi_value(t, complex(sc.x, sc.y)))
+
+
 def f_douren(cfg: DourenConfig, q: Quaternion) -> Quaternion:
     """The counterexample function f: on the slice of q it is the extension
     of phi_{T(J)}; raises OnCut within BOUNDARY_TOL of the removed cut."""
@@ -289,22 +318,28 @@ def f_douren(cfg: DourenConfig, q: Quaternion) -> Quaternion:
     return f_t_value(cfg, t, q)
 
 
+def _f_value(cfg: DourenConfig, q: Quaternion) -> Quaternion:
+    """f_douren without the cut test, for a q whose membership in Omega is
+    already known (the fixtures' checked calls test it in `require`)."""
+    sc = slice_decompose(q)
+    t = 0.0 if sc.unit is None else cfg.t_of(sc.unit)
+    w = complex(sc.x, sc.y - 2.0)
+    A = complex(0.5 * math.log((w * w.conjugate()).real), _branch_arg(t, w))
+    return _extend(cfg, sc, A)
+
+
 def _f_slice_many(cfg: DourenConfig, unit, z: np.ndarray) -> np.ndarray:
-    """Vectorized f on one slice; no cut guard (callers stay off cuts)."""
-    from .quaternion import emb_arr, qmul_arr
+    """Stem rows (N, 2, 4) of f on the cap of unit: the halves b and c of
+    f_t_value with t = T(unit), whole arrays at once. No cut guard: callers
+    check the points."""
     t = 0.0 if unit is None else cfg.t_of(unit)
     z = np.atleast_1d(z).astype(complex)
     wa = z - 2j
     wb = np.conj(z) - 2j
     A = 0.5 * np.log((wa * np.conj(wa)).real) + 1j * _arg_branch_vec(t, wa)
     B = 0.5 * np.log((wb * np.conj(wb)).real) + 1j * _arg_branch_vec(t, wb)
-    bb = 0.5 * (A + B)
-    cc = (A - B) / 2j
-    out = emb_arr(bb, cfg.base_unit)
-    if unit is not None:
-        ua = np.broadcast_to(np.array(unit.components()), (z.size, 4))
-        out = out + qmul_arr(ua, emb_arr(cc, cfg.base_unit))
-    return out
+    return np.stack([emb_arr(0.5 * (A + B), cfg.base_unit),
+                     emb_arr((A - B) / 2j, cfg.base_unit)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +373,25 @@ def fixtures(cfg: DourenConfig | None = None,
     I = cfg.base_unit
     dom = omega_domain(cfg)
 
-    f = SliceFunction(dom, lambda q: f_douren(cfg, q), backing="closed-form",
+    # a checked call tests membership in `require`, so the evaluators run
+    # without a second cut test
+    f = SliceFunction(dom, lambda q: _f_value(cfg, q), backing="closed-form",
                       label="douren-f",
                       slice_many=lambda z, unit: _f_slice_many(cfg, unit, z))
+
+    def f_plus(v: Quaternion, label: str) -> SliceFunction:
+        """f + v for a constant v: the stems shift their value rows."""
+        shift = np.array([v.components(), (0.0,) * 4])
+        return SliceFunction(dom, lambda q: _f_value(cfg, q) + v,
+                             backing="closed-form", label=label,
+                             slice_many=lambda z, unit:
+                                 _f_slice_many(cfg, unit, z) + shift)
 
     p = Quaternion(-1.0) + I * 2.0
     pbar = Quaternion(-1.0) - I * 2.0
 
     # g = f - f(p) = f + pi*I
-    piI = I * math.pi
-    g = SliceFunction(dom, lambda q: f_douren(cfg, q) + piI,
-                      backing="closed-form", label="douren-g",
-                      slice_many=lambda z, unit:
-                          _f_slice_many(cfg, unit, z)
-                          + np.array(piI.components()))
+    g = f_plus(I * math.pi, "douren-g")
 
     # the locally-slice difference D = f_1 - f_0 on the open solid torus
     def torus_contains(q):
@@ -364,14 +404,23 @@ def fixtures(cfg: DourenConfig | None = None,
                        boundary_distance=lambda q: 1.0 - math.hypot(
                            slice_decompose(q).x + 1.0,
                            slice_decompose(q).y - 2.0))
+    # the stems of f_1 and f_0 are those of f on the caps of -I and I,
+    # where T = 1 and T = 0
     D = SliceFunction(torus,
                       lambda q: f_t_value(cfg, 1.0, q) - f_t_value(cfg, 0.0, q),
-                      backing="closed-form", label="douren-D")
+                      backing="closed-form", label="douren-D",
+                      slice_many=lambda z, unit: _f_slice_many(cfg, -I, z)
+                      - _f_slice_many(cfg, I, z))
 
     # ell = (q - pbar) * g, via the pointwise star with the global binomial
     bfn = SliceFunction.from_exact(binom(pbar))
+
+    def ell_stems(z, unit):
+        return star_stems(bfn.stems(z, unit), g.stems(z, unit))
+
     ell = SliceFunction(dom, lambda q: star_eval(bfn, g, q),
-                        backing="composite", label="douren-ell")
+                        backing="composite", label="douren-ell",
+                        slice_many=ell_stems)
 
     # m = g * (q - p1) with p1 = g(p0)^{-1} p0 g(p0)
     if I0 is None:
@@ -388,7 +437,9 @@ def fixtures(cfg: DourenConfig | None = None,
     I1 = gp0.inverse() * I0 * gp0
     b1fn = SliceFunction.from_exact(binom(p1))
     m = SliceFunction(dom, lambda q: star_eval(g, b1fn, q),
-                      backing="composite", label="douren-m")
+                      backing="composite", label="douren-m",
+                      slice_many=lambda z, unit: star_stems(
+                          g.stems(z, unit), b1fn.stems(z, unit)))
 
     # h = (q-p)^{-*} * g = (q^2+2q+5)^{-1} (q-pbar) * g, off the sphere -1+2S
     quad = real_quadratic(-1.0, 2.0)
@@ -398,9 +449,13 @@ def fixtures(cfg: DourenConfig | None = None,
         boundary_distance=dom.boundary_distance,
         cap_structure=dom.cap_structure,
         sphere_clearance=dom.sphere_clearance)
+    quad_c = quad.real_coeffs()[::-1]
     h = SliceFunction(hdom,
                       lambda q: quad.eval(q).inverse() * star_eval(bfn, g, q),
-                      backing="composite", label="douren-h")
+                      backing="composite", label="douren-h",
+                      slice_many=lambda z, unit: scale_stems(
+                          1.0 / np.polyval(quad_c, np.atleast_1d(z)),
+                          ell_stems(z, unit)))
 
     cap_plus = cap_component(dom, p)
     cap_minus = cap_component(dom, pbar)
@@ -414,12 +469,7 @@ def fixtures(cfg: DourenConfig | None = None,
         sc = slice_decompose(p_tilde)
         if abs(sc.x + 1.0) > 1e-9 or abs(sc.y - 2.0) > 1e-9:
             raise ParamOutOfRange("p_tilde must lie on the sphere -1 + 2S")
-        v = fplus.reconstruct(p_tilde)
-        return SliceFunction(dom, lambda q: f_douren(cfg, q) - v,
-                             backing="closed-form", label="douren-shifted-g",
-                             slice_many=lambda z, unit:
-                                 _f_slice_many(cfg, unit, z)
-                                 - np.array(v.components()))
+        return f_plus(-fplus.reconstruct(p_tilde), "douren-shifted-g")
 
     return DourenFixtures(cfg=cfg, domain=dom, f=f, D=D, g=g, ell=ell, m=m,
                           h=h, p=p, pbar=pbar, p0=p0, p1=p1, I0=I0, I1=I1,

@@ -26,11 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import stem_values
+from .domains import cap_component, require_slice_points
 from .errors import (BadUnitChoice, OpenContour, ProbeOutside,
                      ProbeOutsideValidated)
 from .quaternion import (Quaternion, emb_arr, embed_complex, perp_unit,
                          project_to_slice, qconj_arr, qinv_arr, qmul_arr,
                          rotate_unit, slice_decompose)
+from .slicefn import SliceFunction
 
 _CLOSE_TOL = 1e-12
 
@@ -203,6 +206,8 @@ def slicewise_cauchy(f, I: Quaternion, contour: Contour, z) -> Quaternion:
 
 
 def _eval_on_slice(f, s: np.ndarray, I: Quaternion) -> np.ndarray:
+    if isinstance(f, SliceFunction):
+        require_slice_points(f.domain, s, I)
     if hasattr(f, "eval_slice_many"):
         return np.atleast_2d(f.eval_slice_many(s, I))
     return np.array([f(embed_complex(complex(z), I)).components() for z in s])
@@ -318,47 +323,44 @@ def local_cauchy(f, I: Quaternion, U: SymmetricRegion, q: Quaternion,
 def _synth_boundary(f, s: np.ndarray, I: Quaternion, U: SymmetricRegion,
                     j0: Quaternion, tol: float):
     """Boundary data f~(x+yI) = f°_s(x+yj0) + yI f'_s(x+yj0), plus the
-    validated cone aperture eps (bisected until cap-consistent)."""
-    from .slicefn import spherical_data
+    validated cone aperture eps (bisected until cap-consistent).
+
+    One stem call at j0 gives (b, c) at every x + |y| j0, after one
+    clearance check of those points; then f~ = b + sign(y) I c.
+    """
     xb, yb = U.boundary_upper_sample()
-    pb = Quaternion(xb) + j0 * yb
-    cap = spherical_data(f, pb).cap
+    cap = cap_component(f.domain, Quaternion(xb) + j0 * yb)
+    zj = s.real + 1j * np.abs(s.imag)
+    require_slice_points(f.domain, zj, j0)
+    S = f.stems(zj, j0)
     # widest aperture the cap certifies at the representative point,
     # probed on the great circle through j0
     toward = perp_unit(j0)
     eps = 1.9
     for _ in range(40):
         Jp = rotate_unit(j0, toward, eps)
-        if cap.contains_unit(Jp) and _data_consistent(f, s, I, j0, Jp, tol):
+        if cap.contains_unit(Jp) and _data_consistent(f, s, S, Jp, tol):
             break
         eps *= 0.5
-    vals = np.empty((s.size, 4))
-    for k, z in enumerate(s):
-        x, y = z.real, z.imag
-        if abs(y) < 1e-14:
-            vals[k] = f(Quaternion(x)).components()
-            continue
-        d = spherical_data(f, Quaternion(x) + j0 * abs(y))
-        vals[k] = d.reconstruct(embed_complex(z, I)).components()
-    return vals, eps
+    signed = S.copy()
+    signed[:, 1] *= np.sign(s.imag)[:, None]
+    return stem_values(signed, I), eps
 
 
-def _data_consistent(f, s: np.ndarray, I: Quaternion, j0: Quaternion,
-                     Jp: Quaternion, tol: float) -> bool:
-    """Check the synthesized data matches f on the slice L_Jp at a few
-    boundary points (the cap-consistency test driving the bisection)."""
-    from .slicefn import spherical_data
+def _data_consistent(f, s: np.ndarray, S: np.ndarray, Jp: Quaternion,
+                     tol: float) -> bool:
+    """Check the synthesized data (stem rows S at j0) matches f on the
+    slice L_Jp at a few boundary points (the cap-consistency test driving
+    the bisection)."""
     idx = np.linspace(0, s.size - 1, 7).astype(int)
     scale = 1.0
-    for k in idx:
-        z = s[k]
+    for z, row in zip(s[idx], stem_values(S[idx], Jp)):
         if z.imag <= 1e-14:
             continue
         p = Quaternion(z.real) + Jp * z.imag
         if not f.domain.contains(p):
             return False
-        d = spherical_data(f, Quaternion(z.real) + j0 * z.imag)
-        synth = d.reconstruct(p)
+        synth = Quaternion(*row)
         direct = f.eval_unchecked(p)
         scale = max(scale, direct.norm())
         if (synth - direct).norm() > tol * scale:

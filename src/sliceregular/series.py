@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import QPoly, QRational, binom, real_quadratic, reciprocal_poly
-from .domains import sigma_tau_omega
+from .domains import require_slice_points, sigma_tau_omega, slice_clearance
 from .errors import (MaxTermsExceeded, NoAnnulus, NumericError,
                      OutsideConvergenceRegion)
-from .quaternion import (ONE, Quaternion, QI, embed_complex, emb_arr,
+from .quaternion import (ONE, Quaternion, QI, emb_arr,
                          qmul_arr, slice_decompose)
 from .slicefn import SliceFunction, SphericalData, solve_two_units
 
@@ -109,6 +109,7 @@ def _contour_values(f, zc: complex, unit: Quaternion, radius: float,
                     nodes: int):
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     z = zc + radius * np.exp(1j * theta)
+    require_slice_points(f.domain, z, unit)
     vals = f.eval_slice_many(z, unit)
     return theta, z, np.atleast_2d(vals)
 
@@ -125,22 +126,15 @@ def _disk_in_domain(dom, zc, unit, radius, rings=12, spokes=48):
     domain of the slice.
 
     Pointwise membership alone can miss a measure-zero cut crossing the
-    disk, so when the domain exposes a boundary distance every grid point
-    must clear the grid spacing; a cut threading the disk then leaves some
-    grid point too close to the boundary.
+    disk, so every point of a polar grid must clear the grid spacing; a cut
+    threading the disk then leaves some grid point too close to the
+    boundary. One slice_clearance call covers the grid.
     """
     spacing = max(2.0 * math.pi * radius / spokes, radius / rings)
+    r = radius * np.arange(1, rings + 1) / rings
     theta = 2.0 * math.pi * np.arange(spokes) / spokes
-    for k in range(1, rings + 1):
-        r = radius * k / rings
-        for t in theta:
-            q = embed_complex(zc + r * np.exp(1j * t), unit)
-            if not dom.contains(q):
-                return False
-            if dom.boundary_distance is not None \
-                    and dom.boundary_distance(q) < spacing:
-                return False
-    return True
+    z = zc + np.outer(r, np.exp(1j * theta)).ravel()
+    return bool(np.all(slice_clearance(dom, z, unit) >= spacing))
 
 
 def _pick_radius(f, zc, unit, radius=None):

@@ -6,10 +6,21 @@ an affine function of the imaginary unit:
 
     f(x+yJ) = b + J c   for all x+yJ in C,
 
-with b (the spherical value) and c cap-constant. Two evaluations at distinct
-units of the same cap recover b and c; everything downstream (star products,
-reciprocals, factor extraction) is built from that local representation and
-never assumes the antipodal point x-yJ is available.
+with b (the spherical value) and c cap-constant. The pair (b, c) is the stem
+pair of f on the cap; everything downstream (star products, reciprocals,
+factor extraction) is built from that local representation and never
+assumes the antipodal point x-yJ is available.
+
+Stem rows are the vectorised form. The `slice_many` hook of a SliceFunction
+maps complex points z = x + iy (an (N,) array) and a unit to an (N, 2, 4)
+array S with
+
+    f(x+yU) = S[:, 0] + U S[:, 1]   for every U in the unit's cap,
+
+so one call serves a whole contour. Exact backings (QPoly, QRational) and
+the composites of `algebra` supply it; `SliceFunction.stems` falls back to
+two evaluations at distinct units of the cap per point for a bare
+evaluator.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import stem_values
 from .domains import CapId, DomainSpec, cap_component, whole_space
 from .errors import (NotInDomain, OnRealAxis, RealTraceMismatch, UnitsEqual)
 from .quaternion import ONE, Quaternion, embed_complex, slice_decompose
@@ -60,7 +72,11 @@ def solve_two_units(J: Quaternion, fJ: Quaternion, K: Quaternion,
 
 
 class SliceFunction:
-    """domain + evaluator + optional exact backing."""
+    """domain + evaluator + optional exact backing.
+
+    slice_many: optional stem hook (z, unit) -> (N, 2, 4) stem rows (see
+    the module docstring); an exact payload with `stems` supplies it.
+    """
 
     def __init__(self, domain: DomainSpec, evaluator, backing="closed-form",
                  payload=None, label="", slice_many=None):
@@ -69,6 +85,8 @@ class SliceFunction:
         self.backing = backing
         self.payload = payload
         self.label = label
+        if slice_many is None and hasattr(payload, "stems"):
+            slice_many = lambda z, unit: payload.stems(z)
         self._slice_many = slice_many
         self._sph_cache = {}
 
@@ -85,13 +103,30 @@ class SliceFunction:
     def eval_slice_many(self, z: np.ndarray, unit: Quaternion) -> np.ndarray:
         """Vectorized values at x+y*unit for complex z = x+iy, as (N,4)."""
         if self._slice_many is not None:
-            return self._slice_many(z, unit)
-        if self.payload is not None and hasattr(self.payload, "eval_slice_many"):
-            return self.payload.eval_slice_many(z, unit)
+            return stem_values(self._slice_many(z, unit), unit)
         z = np.atleast_1d(z)
         out = np.empty((z.size, 4))
         for i, zz in enumerate(z):
             out[i] = self.evaluator(embed_complex(complex(zz), unit)).components()
+        return out
+
+    def stems(self, z: np.ndarray, unit: Quaternion) -> np.ndarray:
+        """Stem rows (N, 2, 4) at z = x+iy on the cap of each x+y*unit.
+
+        Without a stem hook: the two-unit spherical data of every point
+        (the evaluator itself on the real axis).
+        """
+        if self._slice_many is not None:
+            return self._slice_many(z, unit)
+        z = np.atleast_1d(z)
+        out = np.zeros((z.size, 2, 4))
+        for k, zz in enumerate(z):
+            if zz.imag == 0.0:
+                out[k, 0] = self.evaluator(Quaternion(zz.real)).components()
+                continue
+            d = spherical_data(self, embed_complex(complex(zz), unit))
+            out[k, 0] = d.value.components()
+            out[k, 1] = (d.derivative * zz.imag).components()
         return out
 
     def spherical(self, p: Quaternion, angular_step: float = 0.5) -> SphericalData:
@@ -110,11 +145,18 @@ class SliceFunction:
                        label="poly(deg %d)" % p.degree)
         if isinstance(p, QRational):
             base = domain or whole_space()
+            clear = None
+            if base.sphere_clearance is not None:
+                den = list(reversed(p.den.real_coeffs()))
+                clear = lambda x, y, units: np.where(
+                    np.polyval(den, x + 1j * np.asarray(y)) != 0.0,
+                    base.sphere_clearance(x, y, units), 0.0)
             dom = DomainSpec(
                 contains=lambda q: base.contains(q) and p.den.eval(q).norm() > 0.0,
                 bbox=base.bbox, label=base.label + " \\ poles",
                 symmetric=base.symmetric,
-                boundary_distance=base.boundary_distance)
+                boundary_distance=base.boundary_distance,
+                sphere_clearance=clear)
             return cls(dom, p.eval, backing="rational", payload=p,
                        label="rational")
         raise TypeError("expected QPoly or QRational")
@@ -160,11 +202,12 @@ def intersect_domains(a: DomainSpec, b: DomainSpec) -> DomainSpec:
 
 def spherical_data(f: SliceFunction, p: Quaternion,
                    angular_step: float = 0.5) -> SphericalData:
-    """Local representation on p's cap.
+    """Local representation on p's cap: value = b and derivative = c / y.
 
-    Picks two units J != K in the cap (J = the unit of p, K as far from J
-    as the cap allows, for conditioning of (J-K)^{-1}) and solves for
-    (b, c) with `solve_two_units`, returning value = b and derivative = c / y.
+    With a stem hook, (b, c) is one stem row at p's unit. Otherwise it picks
+    two units J != K in the cap (J = the unit of p, K as far from J as the
+    cap allows, for conditioning of (J-K)^{-1}) and solves for (b, c) with
+    `solve_two_units`.
     """
     sc = slice_decompose(p)
     if sc.unit is None:
@@ -175,11 +218,14 @@ def spherical_data(f: SliceFunction, p: Quaternion,
         return cached
     cap = cap_component(f.domain, p, angular_step)
     J = sc.unit
-    K = cap.second_unit(J)
     x, y = sc.x, sc.y
-    fJ = f.eval_unchecked(p)
-    fK = f.eval_unchecked(Quaternion(x) + K * y)
-    b, c = solve_two_units(J, fJ, K, fK)
+    if f._slice_many is not None:
+        b, c = (Quaternion(*row) for row in f._slice_many(complex(x, y), J)[0])
+    else:
+        K = cap.second_unit(J)
+        fJ = f.eval_unchecked(p)
+        fK = f.eval_unchecked(Quaternion(x) + K * y)
+        b, c = solve_two_units(J, fJ, K, fK)
     out = SphericalData(b, c / y, cap)
     if len(f._sph_cache) < 4096:
         f._sph_cache[key] = out

@@ -333,3 +333,104 @@ def test_off_axis_eval_runs_one_cut_test(monkeypatch):
     q = Quaternion(-0.4) + c_minus_unit(2.5) * 1.7
     f_douren(CFG, q)
     assert len(seen) == 1 and abs(seen[0] - complex(-0.4, -0.3)) < 1e-12
+
+
+def test_checked_fixture_call_runs_one_cut_test(monkeypatch):
+    # the membership test of a checked call is the only cut test: the
+    # fixtures' evaluators do not repeat it
+    seen = []
+    real = douren.cut_distance
+
+    def counted(t, w):
+        seen.append(w)
+        return real(t, w)
+
+    monkeypatch.setattr(douren, "cut_distance", counted)
+    q = Quaternion(-0.4) + c_minus_unit(2.5) * 1.7
+    sg = FX.shifted_g(Quaternion(-1.0) + c_minus_unit(1.9) * 2.0)
+    for fn in (FX.f, FX.g, sg):
+        seen.clear()
+        fn(q)
+        assert len(seen) == 1 and abs(seen[0] - complex(-0.4, -0.3)) < 1e-12
+
+
+def test_arc_distance_broadcasts_t_and_w():
+    rng = np.random.default_rng(73)
+    pts = _arc_probe_points(rng, 40) + _TIP_ON_CUT
+    pts += [(0.5, w) for _, w in pts[:40]]
+    ts = np.array([t for t, _ in pts])
+    ws = np.array([w for _, w in pts])
+    want = np.array([douren._arc_distance(t, w) for t, w in pts])
+    got = douren._arc_distance(ts, ws)
+    assert got.shape == ts.shape
+    assert np.abs(got - want).max() <= 1e-14
+    # one t against an array of w
+    got = douren._arc_distance(0.5, ws)
+    want = np.array([douren._arc_distance(0.5, w) for w in ws])
+    assert np.abs(got - want).max() <= 1e-14
+
+
+def test_slice_clearance_matches_scalar_clearance():
+    # x, y arrays broadcast against one unit row, rows with y < 0 included
+    from sliceregular.domains import slice_clearance
+    from sliceregular.quaternion import embed_complex
+    rng = np.random.default_rng(74)
+    for dom in (FX.domain, FX.h.domain):
+        for _ in range(6):
+            unit = Quaternion(0.0, *rng.standard_normal(3))
+            unit = unit * (1.0 / unit.norm())
+            z = complex(-1.0, 2.0) + rng.uniform(-1.5, 1.5, 200) \
+                + 1j * rng.uniform(-1.5, 1.5, 200)
+            z[:20] = z[:20].conjugate() - 4j
+            got = slice_clearance(dom, z, unit)
+            want = np.array([dom.boundary_distance(embed_complex(zz, unit))
+                             for zz in z])
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def _disk_in_domain_per_point(dom, zc, unit, radius, rings=12, spokes=48):
+    # the per-point disk test the array form replaced, kept as a reference
+    from sliceregular.quaternion import embed_complex
+    spacing = max(2.0 * math.pi * radius / spokes, radius / rings)
+    theta = 2.0 * math.pi * np.arange(spokes) / spokes
+    for k in range(1, rings + 1):
+        r = radius * k / rings
+        for t in theta:
+            q = embed_complex(zc + r * np.exp(1j * t), unit)
+            if not dom.contains(q):
+                return False
+            if dom.boundary_distance is not None \
+                    and dom.boundary_distance(q) < spacing:
+                return False
+    return True
+
+
+def test_disk_in_domain_array_form_matches_per_point():
+    # centres near the half-line, near the arc of their slice and near the
+    # cap collar; radii inside, just short of and just across the cut
+    from sliceregular.quaternion import embed_complex
+    from sliceregular.series import _disk_in_domain
+    rng = np.random.default_rng(75)
+    triples = []
+    for k in range(4):
+        dom = FX.domain if k % 2 else FX.h.domain
+        unit = Quaternion(0.0, *rng.standard_normal(3))
+        unit = unit * (1.0 / unit.norm())
+        t = CFG.t_of(unit)
+        th = rng.uniform(0.2, math.pi - 0.2)
+        arc = complex(-1.0 + math.cos(th), 2.0 + (1.0 - 2.0 * t) * math.sin(th))
+        for zc in (complex(rng.uniform(-3.5, -2.3), 2.0 + rng.uniform(-0.3, 0.3)),
+                   arc + rng.uniform(-0.2, 0.2) * 1j,
+                   complex(-1.0, 2.0) + 0.1 * rng.standard_normal()):
+            q = embed_complex(zc, unit)
+            if not FX.domain.contains(q):
+                continue
+            d = FX.domain.boundary_distance(q)
+            for fac in (0.3, 0.999, 1.001):
+                triples.append((dom, zc, unit, d * fac))
+    answers = []
+    for dom, zc, unit, radius in triples:
+        want = _disk_in_domain_per_point(dom, zc, unit, radius)
+        assert _disk_in_domain(dom, zc, unit, radius) == want
+        answers.append(want)
+    assert any(answers) and not all(answers)
