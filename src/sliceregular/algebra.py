@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import (DegeneratePair, DomainMismatch, IdenticallyZero,
                      SymmetrizationZero, ZeroPolynomial)
-from .quaternion import ONE, Quaternion, ZERO, qmul_arr, slice_decompose
+from .quaternion import (ONE, Quaternion, ZERO, qmul_arr, slice_decompose,
+                         unit_rows)
 
 _COEFF_REAL_TOL = 1e-9
 
@@ -340,9 +341,11 @@ def reciprocal_poly(f: QPoly) -> QRational:
 # ---------------------------------------------------------------------------
 # Stem-row kernels: S[:, 0] = b and S[:, 1] = c with f(x+yJ) = b + J c
 
-def stem_values(S: np.ndarray, unit: Quaternion) -> np.ndarray:
-    """b + unit·c for every row, as (N, 4)."""
-    u = np.array([[0.0, unit.x, unit.y, unit.z]])
+def stem_values(S: np.ndarray, unit) -> np.ndarray:
+    """b + unit·c for every row, as (N, 4); unit is a Quaternion or an
+    (N, 3) array with one unit per row."""
+    rows = unit_rows(unit)
+    u = np.concatenate([np.zeros((len(rows), 1)), rows], axis=1)
     return S[:, 0] + qmul_arr(u, S[:, 1])
 
 

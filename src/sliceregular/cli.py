@@ -69,7 +69,7 @@ def parse_function(spec):
         fx = douren_mod.fixtures()
         name = spec["douren"]
         try:
-            return getattr(fx, {"ell": "ell"}.get(name, name))
+            return getattr(fx, name)
         except AttributeError:
             raise ParamOutOfRange("unknown fixture %r" % name)
     raise ParamOutOfRange("function spec needs 'poly', 'rational' or 'douren'")

@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import (CapTooSmall, EmptyInput, NotInDomain, OnRealAxis,
                      ParamOutOfRange)
 from .quaternion import (Quaternion, embed_complex, rotate_unit, same_slice,
-                         slice_decompose)
+                         row_units, slice_decompose, unit_rows)
 
 BOUNDARY_TOL = 1e-9
 # angle by which BandCap.second_unit keeps its unit inside the cap collar:
@@ -48,9 +48,12 @@ class DomainSpec:
         replacement for the grid flood fill.
     sphere_clearance: optional (x, y, units (N,3) array) -> float array, the
         boundary_distance of every x + y*unit at once (y >= 0); x and y may
-        be floats or arrays broadcast against the unit rows. The flood fill
-        makes one call per sphere instead of one per grid vertex, and a
-        contour along a slice one call for all its nodes.
+        be floats or arrays broadcast against the unit rows, so the rows may
+        be one sphere, one slice, or 4D points each at its own unit. It
+        must agree with `contains`: at most BOUNDARY_TOL wherever contains
+        is False. The flood fill makes one call per sphere instead of one
+        per grid vertex, a contour along a slice one call for all its
+        nodes, and the singularity probe one call per radius.
     """
 
     contains: object
@@ -71,22 +74,23 @@ class DomainSpec:
             raise NotInDomain("%r is not in domain %s" % (q, self.label or "?"))
 
 
-def slice_clearance(dom: DomainSpec, z: np.ndarray,
-                    unit: Quaternion) -> np.ndarray:
+def slice_clearance(dom: DomainSpec, z: np.ndarray, unit) -> np.ndarray:
     """Boundary clearance of x + y*unit for each z = x + iy.
 
-    One sphere_clearance call when the domain has the hook (a row with
-    y < 0 is the point x + |y|(-unit)); otherwise point by point: -inf off
-    the domain, else boundary_distance (+inf without one).
+    unit is a Quaternion or an (N, 3) array with one unit per row, so a
+    batch of 4D points at different units is one call. One
+    sphere_clearance call when the domain has the hook (a row with y < 0 is
+    the point x + |y|(-unit)); otherwise point by point, each at its own
+    unit: -inf off the domain, else boundary_distance (+inf without one).
     """
     z = np.asarray(z, dtype=complex)
     if dom.sphere_clearance is not None:
-        u = np.array([[unit.x, unit.y, unit.z]])
+        u = unit_rows(unit)
         u = np.where(z.imag[..., None] < 0.0, -u, u)
         return dom.sphere_clearance(z.real, np.abs(z.imag), u)
     out = np.full(z.shape, -np.inf)
-    for k, zz in enumerate(z.flat):
-        q = embed_complex(complex(zz), unit)
+    for k, (zz, u) in enumerate(zip(z.flat, row_units(unit, z.size))):
+        q = embed_complex(complex(zz), u)
         if dom.contains(q):
             out.flat[k] = (dom.boundary_distance(q)
                            if dom.boundary_distance is not None else np.inf)

@@ -42,7 +42,7 @@ from .domains import (BOUNDARY_TOL, BandCap, DomainSpec, WholeSphereCap,
 from .errors import (BadUnitChoice, OnCut, ParamOutOfRange)
 from .quaternion import (QI, Quaternion, emb_arr, embed_complex, perp_unit,
                          rotate_unit, slice_decompose, unit_imaginary)
-from .slicefn import SliceFunction
+from .slicefn import SliceFunction, minus_zero_spheres
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,9 +54,13 @@ class DourenConfig:
     def __post_init__(self):
         object.__setattr__(self, "base_unit", unit_imaginary(self.base_unit))
 
-    def t_of(self, unit: Quaternion) -> float:
-        """T(J) = min(|J - I|, 1)."""
-        return min((unit - self.base_unit).norm(), 1.0)
+    def t_of(self, unit):
+        """T(J) = min(|J - I|, 1); for an (N, 3) array of units, one T per
+        row."""
+        if isinstance(unit, Quaternion):
+            return min((unit - self.base_unit).norm(), 1.0)
+        I = self.base_unit
+        return np.minimum(np.linalg.norm(unit - [I.x, I.y, I.z], axis=-1), 1.0)
 
 
 def arc_point(t: float, J: Quaternion, s: float) -> Quaternion:
@@ -180,21 +184,20 @@ def _branch_arg(t: float, w: complex) -> float:
     return principal
 
 
-def _arg_branch_vec(t: float, w: np.ndarray) -> np.ndarray:
-    """Vectorized _branch_arg (no cut-distance guard)."""
+def _arg_branch_vec(t, w: np.ndarray) -> np.ndarray:
+    """Vectorized _branch_arg (no cut-distance guard); t is a float or an
+    array broadcast against w, one parameter per entry."""
     u = w.real + 1.0
     v = w.imag
     out = np.arctan2(v, w.real)
-    inside = u * u + v * v < 1.0
     b = 1.0 - 2.0 * t
-    if t < 0.5:
-        pocket = inside & (v > 0.0) & (u * u + (v / b) ** 2 < 1.0)
-        out = np.where(pocket, out - TWO_PI, out)
-        out = np.where(inside & (v == 0.0), -math.pi, out)
-    elif t > 0.5:
-        pocket = inside & (v < 0.0) & (u * u + (v / b) ** 2 < 1.0)
-        out = np.where(pocket, out + TWO_PI, out)
-    return out
+    inside = u * u + v * v < 1.0
+    # the pocket lies on the side the arc bulges to, v b > 0 (so b != 0);
+    # the branch there is the principal one minus 2 pi sign(v)
+    side = inside & (v * b > 0.0)
+    pocket = side & (u * u + (v / np.where(side, b, 1.0)) ** 2 < 1.0)
+    out -= np.copysign(TWO_PI, v) * pocket
+    return np.where(inside & (b > 0.0) & (v == 0.0), -math.pi, out)
 
 
 def phi_value(t: float, z: complex) -> complex:
@@ -245,8 +248,7 @@ def omega_domain(cfg: DourenConfig, closed_form_caps: bool = True) -> DomainSpec
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         w = x + 1j * (y - 2.0)
-        chord = np.minimum(
-            np.linalg.norm(units - [I.x, I.y, I.z], axis=-1), 1.0)
+        chord = cfg.t_of(units)
         chord, wb = np.broadcast_arrays(chord, w)
         d = np.hypot(np.maximum(wb.real + 2.0, 0.0), wb.imag)
         near = np.abs(wb + 1.0) <= 1.0 + d
@@ -329,15 +331,18 @@ def _f_value(cfg: DourenConfig, q: Quaternion) -> Quaternion:
 
 
 def _f_slice_many(cfg: DourenConfig, unit, z: np.ndarray) -> np.ndarray:
-    """Stem rows (N, 2, 4) of f on the cap of unit: the halves b and c of
-    f_t_value with t = T(unit), whole arrays at once. No cut guard: callers
-    check the points."""
-    t = 0.0 if unit is None else cfg.t_of(unit)
+    """Stem rows (N, 2, 4) of f on the cap of each x + y*unit: the halves b
+    and c of f_t_value with t = T(unit) per row (unit: a Quaternion or an
+    (N, 3) array), whole arrays at once. No cut guard: callers check the
+    points."""
+    t = cfg.t_of(unit)
     z = np.atleast_1d(z).astype(complex)
     wa = z - 2j
     wb = np.conj(z) - 2j
     A = 0.5 * np.log((wa * np.conj(wa)).real) + 1j * _arg_branch_vec(t, wa)
-    B = 0.5 * np.log((wb * np.conj(wb)).real) + 1j * _arg_branch_vec(t, wb)
+    # as in _extend: for y >= 0, conj(z) - 2i lies outside the unit disk
+    # about -1 and below every cut, where the branch is the principal one
+    B = np.log(wb)
     return np.stack([emb_arr(0.5 * (A + B), cfg.base_unit),
                      emb_arr((A - B) / 2j, cfg.base_unit)], axis=1)
 
@@ -443,12 +448,7 @@ def fixtures(cfg: DourenConfig | None = None,
 
     # h = (q-p)^{-*} * g = (q^2+2q+5)^{-1} (q-pbar) * g, off the sphere -1+2S
     quad = real_quadratic(-1.0, 2.0)
-    hdom = DomainSpec(
-        contains=lambda q: dom.contains(q) and quad.eval(q).norm() > 0.0,
-        bbox=dom.bbox, label="douren-omega \\ (-1+2S)",
-        boundary_distance=dom.boundary_distance,
-        cap_structure=dom.cap_structure,
-        sphere_clearance=dom.sphere_clearance)
+    hdom = minus_zero_spheres(dom, quad, "(-1+2S)")
     quad_c = quad.real_coeffs()[::-1]
     h = SliceFunction(hdom,
                       lambda q: quad.eval(q).inverse() * star_eval(bfn, g, q),

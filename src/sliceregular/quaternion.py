@@ -289,6 +289,33 @@ def qinv_arr(a: np.ndarray) -> np.ndarray:
     return qconj_arr(a) / qnorm2_arr(a)[:, None]
 
 
+def unit_rows(unit) -> np.ndarray:
+    """A unit argument as rows: a Quaternion unit as one (1, 3) row, an
+    (N, 3) array (one imaginary unit per row) as it is."""
+    if isinstance(unit, Quaternion):
+        return np.array([[unit.x, unit.y, unit.z]])
+    return np.asarray(unit, dtype=float)
+
+
+def row_units(unit, n: int) -> list:
+    """The unit of each of n rows, as Quaternions (the same one n times for
+    a Quaternion unit)."""
+    return [Quaternion(0.0, *u)
+            for u in np.broadcast_to(unit_rows(unit), (n, 3))]
+
+
+def slice_rows(a: np.ndarray):
+    """Slice coordinates of each row of an (N, 4) array: z = x + iy with
+    y >= 0 and the (N, 3) unit rows. A real row gets the unit i; any unit
+    serves there."""
+    a = np.atleast_2d(a)
+    y = np.linalg.norm(a[:, 1:], axis=1)
+    units = np.where(y[:, None] > 0.0,
+                     a[:, 1:] / np.where(y > 0.0, y, 1.0)[:, None],
+                     [1.0, 0.0, 0.0])
+    return a[:, 0] + 1j * y, units
+
+
 def emb_arr(z: np.ndarray, unit: Quaternion) -> np.ndarray:
     """Embed an array of complex numbers into the slice L_unit as (N,4)."""
     z = np.atleast_1d(z)

@@ -12,15 +12,17 @@ factor extraction) is built from that local representation and never
 assumes the antipodal point x-yJ is available.
 
 Stem rows are the vectorised form. The `slice_many` hook of a SliceFunction
-maps complex points z = x + iy (an (N,) array) and a unit to an (N, 2, 4)
-array S with
+maps complex points z = x + iy (an (N,) array) and a unit argument to an
+(N, 2, 4) array S with
 
-    f(x+yU) = S[:, 0] + U S[:, 1]   for every U in the unit's cap,
+    f(x+yU) = S[:, 0] + U S[:, 1]   for every U in the cap of row k's unit.
 
-so one call serves a whole contour. Exact backings (QPoly, QRational) and
-the composites of `algebra` supply it; `SliceFunction.stems` falls back to
-two evaluations at distinct units of the cap per point for a bare
-evaluator.
+The unit argument is one Quaternion for a whole slice, so one call serves a
+contour, or an (N, 3) array with one unit per row, so one call serves a
+batch of 4D points x_k + y_k U_k. Exact backings (QPoly, QRational) ignore
+it, the douren fixtures read T(U) per row, and the composites of `algebra`
+pass it on. `SliceFunction.stems` falls back to two evaluations at distinct
+units of each row's cap for a bare evaluator.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import numpy as np
 from .algebra import stem_values
 from .domains import CapId, DomainSpec, cap_component, whole_space
 from .errors import (NotInDomain, OnRealAxis, RealTraceMismatch, UnitsEqual)
-from .quaternion import ONE, Quaternion, embed_complex, slice_decompose
+from .quaternion import (ONE, Quaternion, embed_complex, row_units,
+                         slice_decompose)
 
 
 @dataclass(frozen=True)
@@ -100,31 +103,33 @@ class SliceFunction:
     def eval_unchecked(self, q: Quaternion) -> Quaternion:
         return self.evaluator(q)
 
-    def eval_slice_many(self, z: np.ndarray, unit: Quaternion) -> np.ndarray:
-        """Vectorized values at x+y*unit for complex z = x+iy, as (N,4)."""
+    def eval_slice_many(self, z: np.ndarray, unit) -> np.ndarray:
+        """Values at x + y*unit for complex z = x+iy, as (N, 4); unit is a
+        Quaternion or an (N, 3) array with one unit per row."""
         if self._slice_many is not None:
             return stem_values(self._slice_many(z, unit), unit)
         z = np.atleast_1d(z)
         out = np.empty((z.size, 4))
-        for i, zz in enumerate(z):
-            out[i] = self.evaluator(embed_complex(complex(zz), unit)).components()
+        for k, (zz, u) in enumerate(zip(z, row_units(unit, z.size))):
+            out[k] = self.evaluator(embed_complex(complex(zz), u)).components()
         return out
 
-    def stems(self, z: np.ndarray, unit: Quaternion) -> np.ndarray:
-        """Stem rows (N, 2, 4) at z = x+iy on the cap of each x+y*unit.
+    def stems(self, z: np.ndarray, unit) -> np.ndarray:
+        """Stem rows (N, 2, 4) at z = x+iy on the cap of each x+y*unit
+        (unit: a Quaternion or one unit per row).
 
-        Without a stem hook: the two-unit spherical data of every point
-        (the evaluator itself on the real axis).
+        Without a stem hook: the two-unit spherical data of every point at
+        its own unit (the evaluator itself on the real axis).
         """
         if self._slice_many is not None:
             return self._slice_many(z, unit)
         z = np.atleast_1d(z)
         out = np.zeros((z.size, 2, 4))
-        for k, zz in enumerate(z):
+        for k, (zz, u) in enumerate(zip(z, row_units(unit, z.size))):
             if zz.imag == 0.0:
                 out[k, 0] = self.evaluator(Quaternion(zz.real)).components()
                 continue
-            d = spherical_data(self, embed_complex(complex(zz), unit))
+            d = spherical_data(self, embed_complex(complex(zz), u))
             out[k, 0] = d.value.components()
             out[k, 1] = (d.derivative * zz.imag).components()
         return out
@@ -144,19 +149,7 @@ class SliceFunction:
             return cls(domain, p.eval, backing="polynomial", payload=p,
                        label="poly(deg %d)" % p.degree)
         if isinstance(p, QRational):
-            base = domain or whole_space()
-            clear = None
-            if base.sphere_clearance is not None:
-                den = list(reversed(p.den.real_coeffs()))
-                clear = lambda x, y, units: np.where(
-                    np.polyval(den, x + 1j * np.asarray(y)) != 0.0,
-                    base.sphere_clearance(x, y, units), 0.0)
-            dom = DomainSpec(
-                contains=lambda q: base.contains(q) and p.den.eval(q).norm() > 0.0,
-                bbox=base.bbox, label=base.label + " \\ poles",
-                symmetric=base.symmetric,
-                boundary_distance=base.boundary_distance,
-                sphere_clearance=clear)
+            dom = minus_zero_spheres(domain or whole_space(), p.den, "poles")
             return cls(dom, p.eval, backing="rational", payload=p,
                        label="rational")
         raise TypeError("expected QPoly or QRational")
@@ -170,6 +163,25 @@ class SliceFunction:
     def identity(cls, domain: DomainSpec | None = None):
         from .algebra import QPoly
         return cls.from_exact(QPoly([0.0, 1.0]), domain)
+
+
+def minus_zero_spheres(base: DomainSpec, den, what: str) -> DomainSpec:
+    """base without the spheres on which the real polynomial den (a QPoly)
+    vanishes. Its sphere_clearance, when base has one, reads 0 on them, so
+    it agrees with `contains`."""
+    coeffs = list(reversed(den.real_coeffs()))
+    clear = None
+    if base.sphere_clearance is not None:
+        clear = lambda x, y, units: np.where(
+            np.polyval(coeffs, x + 1j * np.asarray(y)) != 0.0,
+            base.sphere_clearance(x, y, units), 0.0)
+    return DomainSpec(
+        contains=lambda q: base.contains(q) and den.eval(q).norm() > 0.0,
+        bbox=base.bbox, label="%s \\ %s" % (base.label, what),
+        symmetric=base.symmetric,
+        boundary_distance=base.boundary_distance,
+        cap_structure=base.cap_structure,
+        sphere_clearance=clear)
 
 
 def intersect_domains(a: DomainSpec, b: DomainSpec) -> DomainSpec:
