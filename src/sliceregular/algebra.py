@@ -8,18 +8,19 @@ Two modes:
   slice-preserving real-coefficient denominator, so pointwise division is
   legitimate.
 
-* pointwise mode: the product, conjugate, symmetrization and reciprocal are
-  computed at a single point from spherical data (cap-constant value and
-  derivative) alone. Nothing ever pairs q with its conjugate point q-bar:
-  on a non-symmetric domain q-bar may sit in a different cap, or outside
-  the domain altogether.
+* pointwise mode (star_eval, conj_eval, sym_eval, recip_eval): the product,
+  conjugate, symmetrization and reciprocal are computed at a single point
+  from spherical data (cap-constant value and derivative) alone. Nothing
+  ever pairs q with its conjugate point q-bar: on a non-symmetric domain
+  q-bar may sit in a different cap, or outside the domain altogether.
 
 Along a slice the same calculus runs on stem rows: an (N, 2, 4) array S
 with f(x+yJ) = S[:, 0] + J S[:, 1] on a cap, one row per z = x + iy. On a
 cap, f*g has the stem pair (b1 b2 - c1 c2, b1 c2 + c1 b2), f^c has
 (conj b, conj c), f^s the real pair (|b|^2 - |c|^2, 2 re(b conj c)), and a
 function with real-coefficient values w(z) = u + iv in each slice (a real
-polynomial, its inverse) scales a pair as (u b - v c, v b + u c).
+polynomial, its inverse) scales a pair as (u b - v c, v b + u c). These
+row kernels alone are the composites of general slice functions.
 """
 
 from __future__ import annotations
@@ -477,8 +478,8 @@ def quotient_point(f, g, p: Quaternion) -> Quaternion:
 
 
 # ---------------------------------------------------------------------------
-# Kind-dispatching wrappers (exact on polynomials/rationals, pointwise on
-# general slice functions)
+# Kind-dispatching wrappers (exact on polynomials/rationals, stem-row
+# composites on general slice functions, whose point values are stem rows)
 
 def star_product(f, g):
     if isinstance(f, QPoly) and isinstance(g, QPoly):
@@ -490,8 +491,7 @@ def star_product(f, g):
     f = _as_slicefn(f)
     g = _as_slicefn(g)
     dom = intersect_domains(f.domain, g.domain)
-    return SliceFunction(dom, lambda q: star_eval(f, g, q),
-                         backing="composite", label="star",
+    return SliceFunction(dom, backing="composite", label="star",
                          slice_many=lambda z, unit: star_stems(
                              f.stems(z, unit), g.stems(z, unit)))
 
@@ -501,8 +501,7 @@ def conjugate(f):
         return f.conjugate()
     from .slicefn import SliceFunction
     f = _as_slicefn(f)
-    return SliceFunction(f.domain, lambda q: conj_eval(f, q),
-                         backing="composite", label="conj",
+    return SliceFunction(f.domain, backing="composite", label="conj",
                          slice_many=lambda z, unit: conj_stems(
                              f.stems(z, unit)))
 
@@ -512,8 +511,7 @@ def symmetrize(f):
         return f.symmetrize()
     from .slicefn import SliceFunction
     f = _as_slicefn(f)
-    return SliceFunction(f.domain, lambda q: sym_eval(f, q),
-                         backing="composite", label="sym",
+    return SliceFunction(f.domain, backing="composite", label="sym",
                          slice_many=lambda z, unit: sym_stems(
                              f.stems(z, unit)))
 
@@ -525,8 +523,7 @@ def reciprocal(f):
         return f.reciprocal()
     from .slicefn import SliceFunction
     f = _as_slicefn(f)
-    return SliceFunction(f.domain, lambda q: recip_eval(f, q),
-                         backing="composite", label="recip",
+    return SliceFunction(f.domain, backing="composite", label="recip",
                          slice_many=lambda z, unit: recip_stems(
                              f.stems(z, unit)))
 

@@ -97,9 +97,10 @@ def slice_clearance(dom: DomainSpec, z: np.ndarray, unit) -> np.ndarray:
     return out
 
 
-def require_slice_points(dom: DomainSpec, z: np.ndarray, unit: Quaternion):
-    """NotInDomain unless every x + y*unit (z = x + iy) clears the boundary
-    by more than BOUNDARY_TOL: one slice_clearance call."""
+def require_slice_points(dom: DomainSpec, z: np.ndarray, unit):
+    """NotInDomain unless every x + y*unit (z = x + iy; unit as in
+    slice_clearance) clears the boundary by more than BOUNDARY_TOL: one
+    slice_clearance call."""
     if not np.all(slice_clearance(dom, z, unit) > BOUNDARY_TOL):
         raise NotInDomain("a slice point along %r is not in domain %s"
                           % (unit, dom.label or "?"))

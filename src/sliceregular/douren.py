@@ -20,23 +20,22 @@ is the principal argument; inside the disk the branch differs from the
 principal value by -2pi (t < 1/2) or +2pi (t > 1/2) exactly on the pocket
 between the arc and the real segment (-2, 0).
 
-Evaluation raises OnCut within BOUNDARY_TOL of the cut; the fixtures'
-evaluators leave that test to the membership check of a checked call, and
-their stem rows come from the same closed form on whole arrays. The distance
-to the arc starts from the nearest point of a fixed 721-point theta grid and
-refines it by Newton steps on |arc(theta) - w|^2, kept within one grid step
-and run until they stall; one routine serves floats and arrays of t and w.
+One routine per quantity takes floats or arrays: the branch argument, the
+stem pair of f_t, the cut distance and Omega's clearance. f_douren is the
+cut test (OnCut within BOUNDARY_TOL) plus the stem pair; the fixtures are
+stem hooks alone, whose checked calls leave the cut test to membership. The
+arc distance refines the nearest point of a 721-point theta grid by Newton
+steps on |arc(theta) - w|^2 until they stall.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import binom, real_quadratic, scale_stems, star_eval, star_stems
+from .algebra import binom, real_quadratic, scale_stems, star_stems
 from .domains import (BOUNDARY_TOL, BandCap, DomainSpec, WholeSphereCap,
                       cap_component)
 from .errors import (BadUnitChoice, OnCut, ParamOutOfRange)
@@ -78,10 +77,6 @@ def arc_point(t: float, J: Quaternion, s: float) -> Quaternion:
 # ---------------------------------------------------------------------------
 # Cut geometry in the translated w-plane (w = z - 2i)
 
-def _halfline_distance(w: complex) -> float:
-    return math.hypot(max(w.real + 2.0, 0.0), w.imag)
-
-
 # the coarse theta grid of the arc distance, and the Newton refinement of
 # its nearest point: it stops once no step moves theta by more than
 # _ARC_STEP_TOL, or after _ARC_NEWTON_MAX steps. Most points take 2-4; a point
@@ -96,8 +91,8 @@ _ARC_NEWTON_MAX = 40
 # a curvature floor: where |arc - w|^2 is not convex the step runs downhill
 # to the end of its bracket
 _ARC_CURV_MIN = 1e-12
-# rows of sphere_clearance's (rows x 721) coarse search held at once: two
-# such arrays of 64 rows take 0.74 MB
+# entries of cut_distance's (entries x 721) coarse search held at once: two
+# such arrays of 64 entries take 0.74 MB
 _ARC_CHUNK = 64
 
 
@@ -130,19 +125,69 @@ def _arc_distance(t, w):
         prev = th
         th = np.minimum(np.maximum(th - g1 / np.maximum(g2, _ARC_CURV_MIN),
                                    lo), hi)
-        if np.all(np.abs(th - prev) <= _ARC_STEP_TOL):
+        if (np.abs(th - prev) <= _ARC_STEP_TOL).all():
             break
     return np.hypot(np.cos(th) - 1.0 - wr, b * np.sin(th) - wi)
 
 
-def cut_distance(t: float, w: complex) -> float:
+def _arc_chunks(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """_arc_distance over 1-D arrays t and w, _ARC_CHUNK entries at a
+    time."""
+    return np.concatenate([np.empty(0)] + [
+        _arc_distance(t[s:s + _ARC_CHUNK], w[s:s + _ARC_CHUNK])
+        for s in range(0, t.size, _ARC_CHUNK)])
+
+
+def cut_distance(t, w):
     """Distance from w to the full cut set of phi_t: the half-line, and the
-    arc through _arc_distance (coarse grid plus Newton refinement)."""
-    d = _halfline_distance(w)
-    # cheap reject: the arc lies in the closed unit disk centered -1
-    if abs(w + 1.0) > 1.0 + d:
-        return d
-    return min(d, float(_arc_distance(t, w)))
+    arc through _arc_distance. t and w are floats or arrays broadcast
+    against each other, one distance per entry (a float for floats).
+
+    The arc distance runs only where the cheap reject fails (the arc lies in
+    the closed unit disk about -1); for one w against an array of t (one
+    sphere of the flood fill) it runs once per distinct t.
+    """
+    d = np.hypot(np.maximum(np.real(w) + 2.0, 0.0), np.imag(w))
+    near = np.abs(w + 1.0) <= 1.0 + d
+    if np.ndim(w) == 0:
+        if np.ndim(t) == 0:
+            return min(d, _arc_distance(t, w)) if near else d
+        t = np.asarray(t, dtype=float)
+        if not near:
+            return np.full(t.shape, d)
+        tn, back = np.unique(t, return_inverse=True)
+        arc = _arc_chunks(tn, np.broadcast_to(complex(w), tn.shape))
+        return np.minimum(d, arc[back].reshape(t.shape))
+    t, w, d, near = np.broadcast_arrays(np.asarray(t, dtype=float), w, d,
+                                        near)
+    out = d.copy()
+    out[near] = np.minimum(d[near], _arc_chunks(t[near], w[near]))
+    return out
+
+
+def _require_off_cut(t: float, w: complex):
+    """ParamOutOfRange unless 0 <= t <= 1, OnCut within BOUNDARY_TOL of the
+    cut of phi_t."""
+    if not 0.0 <= t <= 1.0:
+        raise ParamOutOfRange("t must be in [0, 1]")
+    if cut_distance(t, w) <= BOUNDARY_TOL:
+        raise OnCut("point within %g of the branch cut" % BOUNDARY_TOL)
+
+
+def _arg_closed_form(t, w):
+    """arg_t(w) in closed form, without the cut-distance guard; t and w are
+    floats or arrays broadcast against each other."""
+    u = np.real(w) + 1.0
+    v = np.imag(w)
+    b = 1.0 - 2.0 * t
+    inside = u * u + v * v < 1.0
+    # the pocket lies on the side the arc bulges to, v b > 0 (so b != 0),
+    # under the arc u^2 + (v/b)^2 < 1; the branch there is the principal one
+    # minus 2 pi sign(v)
+    pocket = inside & (v * b > 0.0) & (u * u * b * b + v * v < b * b)
+    out = np.arctan2(v, np.real(w)) - np.copysign(TWO_PI, v) * pocket
+    # the real segment (-2, 0) for t < 1/2 is reached from below the arc
+    return np.where(inside & (b > 0.0) & (v == 0.0), -math.pi, out)
 
 
 def arg_branch(t: float, w) -> float:
@@ -155,161 +200,112 @@ def arg_branch(t: float, w) -> float:
         sc = slice_decompose(w)
         w = complex(sc.x, sc.y if sc.unit is not None else 0.0)
     w = complex(w)
-    if not 0.0 <= t <= 1.0:
-        raise ParamOutOfRange("t must be in [0, 1]")
-    if cut_distance(t, w) <= BOUNDARY_TOL:
-        raise OnCut("point within %g of the branch cut" % BOUNDARY_TOL)
-    return _branch_arg(t, w)
+    _require_off_cut(t, w)
+    return float(_arg_closed_form(t, w))
 
 
-def _branch_arg(t: float, w: complex) -> float:
-    """arg_t(w) in closed form, without the cut-distance guard."""
-    u = w.real + 1.0
-    v = w.imag
-    principal = math.atan2(v, w.real)
-    if u * u + v * v >= 1.0:
-        return principal
-    b = 1.0 - 2.0 * t
-    if t < 0.5:
-        if v == 0.0:
-            # on the real segment (-2, 0), reached from below the arc
-            return -math.pi
-        if v > 0.0 and u * u + (v / b) ** 2 < 1.0:
-            return principal - TWO_PI
-        return principal
-    if t > 0.5:
-        if v < 0.0 and u * u + (v / b) ** 2 < 1.0:
-            return principal + TWO_PI
-        return principal
-    return principal
-
-
-def _arg_branch_vec(t, w: np.ndarray) -> np.ndarray:
-    """Vectorized _branch_arg (no cut-distance guard); t is a float or an
-    array broadcast against w, one parameter per entry."""
-    u = w.real + 1.0
-    v = w.imag
-    out = np.arctan2(v, w.real)
-    b = 1.0 - 2.0 * t
-    inside = u * u + v * v < 1.0
-    # the pocket lies on the side the arc bulges to, v b > 0 (so b != 0);
-    # the branch there is the principal one minus 2 pi sign(v)
-    side = inside & (v * b > 0.0)
-    pocket = side & (u * u + (v / np.where(side, b, 1.0)) ** 2 < 1.0)
-    out -= np.copysign(TWO_PI, v) * pocket
-    return np.where(inside & (b > 0.0) & (v == 0.0), -math.pi, out)
+def _phi(t, z):
+    """phi_t(z) = log|w| + i arg_t(w), w = z - 2i, without the cut guard;
+    floats or arrays."""
+    w = z - 2j
+    return 0.5 * np.log((w * np.conj(w)).real) + 1j * _arg_closed_form(t, w)
 
 
 def phi_value(t: float, z: complex) -> complex:
     """phi_t at the slice coordinate z = x + iy, as a complex number."""
-    w = z - 2j
-    return 0.5 * math.log((w * w.conjugate()).real) + 1j * arg_branch(t, w)
+    _require_off_cut(t, z - 2j)
+    return complex(_phi(t, z))
 
 
 # ---------------------------------------------------------------------------
 # The domain Omega
 
-def _sphere_band(x: float, y: float):
-    """Closed-form cap data of the sphere x + yS: chord radius t* or None."""
+# a sphere whose cap chord is within _TANGENT of 0 or 1 has one cap
+_TANGENT = 5e-13
+
+
+def _sphere_band(x, y):
+    """Chord t* = (1 - v)/2, v = (y - 2)/sqrt(1 - (x+1)^2), of the collar
+    |J - I| = t* between the two caps of x + yS where 0 < t* < 1; NaN where
+    |x + 1| >= 1. x and y are floats or arrays."""
     s2 = 1.0 - (x + 1.0) ** 2
-    if s2 <= 0.0:
-        return None
-    vv = (y - 2.0) / math.sqrt(s2)
-    if abs(vv) >= 1.0 - 1e-14:
-        if abs(abs(vv) - 1.0) <= 1e-12:
-            return 0.0 if vv > 0 else 1.0
-        return None
-    return 0.5 * (1.0 - vv)
+    return 0.5 * (1.0 - (y - 2.0) / np.sqrt(np.where(s2 > 0.0, s2, np.nan)))
+
+
+def _clearance(cfg: DourenConfig, x, y, units):
+    """Boundary clearance of x + y*unit (y >= 0): distance to the cut of
+    the unit's slice and to the cap collar, 1 on R. Floats with one
+    Quaternion unit, or arrays broadcast against (N, 3) unit rows."""
+    t = cfg.t_of(units)
+    d = cut_distance(t, x + 1j * (y - 2.0))
+    band = _sphere_band(x, y)
+    collar = np.abs(band - 0.5) < 0.5 - _TANGENT
+    d = np.where(collar, np.minimum(d, np.abs(t - band) * y), d)
+    return np.where(y == 0.0, 1.0, d)
 
 
 def omega_domain(cfg: DourenConfig, closed_form_caps: bool = True) -> DomainSpec:
+    """Omega, whose boundary_distance and sphere_clearance are _clearance.
+
+    On the real axis the clearance is 1 at every unit: every cut point
+    x' + y'J has y' >= 1, so 1 bounds the distance from R to the boundary
+    in every slice, not only to the cuts of the row's own slice.
+    """
     I = cfg.base_unit
 
-    def clearance(q: Quaternion) -> float:
+    def boundary_distance(q: Quaternion) -> float:
         sc = slice_decompose(q)
-        if sc.unit is None:
-            return 1.0  # R is contained in Omega with cuts at height 2
-        t = cfg.t_of(sc.unit)
-        w = complex(sc.x, sc.y - 2.0)
-        d = cut_distance(t, w)
-        band = _sphere_band(sc.x, sc.y)
-        if band is not None and 0.0 < band < 1.0:
-            chord = min((sc.unit - I).norm(), 1.0)
-            d = min(d, abs(chord - band) * sc.y)
-        return d
-
-    def contains(q: Quaternion) -> bool:
-        return clearance(q) > BOUNDARY_TOL
-
-    def sphere_clearance(x, y, units: np.ndarray) -> np.ndarray:
-        # clearance(x + y*unit) for every row, x and y broadcast against the
-        # rows: the half-line term and the cheap reject of cut_distance run
-        # on whole arrays, the arc distance on the rows it does not reject
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        w = x + 1j * (y - 2.0)
-        chord = cfg.t_of(units)
-        chord, wb = np.broadcast_arrays(chord, w)
-        d = np.hypot(np.maximum(wb.real + 2.0, 0.0), wb.imag)
-        near = np.abs(wb + 1.0) <= 1.0 + d
-        t, back = chord[near], slice(None)
-        if w.ndim == 0:
-            # one sphere: w is shared and few chords are distinct
-            t, back = np.unique(t, return_inverse=True)
-        ws = np.broadcast_to(w, t.shape) if w.ndim == 0 else wb[near]
-        if t.size:
-            arc = np.concatenate([
-                _arc_distance(t[s:s + _ARC_CHUNK], ws[s:s + _ARC_CHUNK])
-                for s in range(0, t.size, _ARC_CHUNK)])
-            d[near] = np.minimum(d[near], arc[back])
-        # the cap collar of _sphere_band, where the sphere has two caps
-        s2 = 1.0 - (x + 1.0) ** 2
-        vv = (y - 2.0) / np.sqrt(np.where(s2 > 0.0, s2, 1.0))
-        band = 0.5 * (1.0 - vv)
-        collar = (s2 > 0.0) & (np.abs(vv) < 1.0 - 1e-14)
-        return np.where(collar, np.minimum(d, np.abs(chord - band) * y), d)
+        return float(_clearance(cfg, sc.x, sc.y,
+                                I if sc.unit is None else sc.unit))
 
     def cap_structure(x: float, y: float):
-        band = _sphere_band(x, y)
-        if band is None:
-            return [WholeSphereCap()]
-        if band <= 0.0:
-            return [BandCap(I, 0.0, inside=False)]
-        if band >= 1.0:
+        band = float(_sphere_band(x, y))
+        off = abs(band - 0.5)
+        if off < 0.5 - _TANGENT:
+            return [BandCap(I, band, inside=True),
+                    BandCap(I, band, inside=False)]
+        if off <= 0.5 + _TANGENT:
+            if band < 0.5:
+                return [BandCap(I, 0.0, inside=False)]
             return [BandCap(I, 1.0, inside=True)]
-        return [BandCap(I, band, inside=True), BandCap(I, band, inside=False)]
+        return [WholeSphereCap()]
 
     lim = 50.0
-    return DomainSpec(contains=contains,
+    return DomainSpec(contains=lambda q: boundary_distance(q) > BOUNDARY_TOL,
                       bbox=((-lim, lim),) * 4,
                       label="douren-omega",
                       symmetric=False,
-                      boundary_distance=clearance,
+                      boundary_distance=boundary_distance,
                       cap_structure=cap_structure if closed_form_caps else None,
-                      sphere_clearance=sphere_clearance)
+                      sphere_clearance=lambda x, y, units:
+                          _clearance(cfg, x, y, units))
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _extend(cfg: DourenConfig, sc, A: complex) -> Quaternion:
-    """b + J c at q = x + yJ (slice coordinates sc) from A = phi_t(z)."""
+def _stem_pair(t, z):
+    """(b, c), complex in the base slice, with f_t(x+yJ) = b + J c at
+    z = x + iy, y >= 0: b = (A + B)/2, c = (A - B)/2i, A = phi_t(z),
+    B = phi_t(conj z). Floats or arrays; no cut guard."""
+    A = _phi(t, z)
+    # conj(z) - 2i lies outside the unit disk about -1 and below every cut,
+    # where the branch is the principal one
+    B = np.log(np.conj(z) - 2j)
+    return 0.5 * (A + B), (A - B) / 2j
+
+
+def f_t_value(cfg: DourenConfig, t: float, q: Quaternion) -> Quaternion:
+    """The one-slice extension of phi_t, at an arbitrary point q; raises
+    OnCut within BOUNDARY_TOL of the cut of phi_t."""
+    sc = slice_decompose(q)
     z = complex(sc.x, sc.y)
-    # conj(z) - 2i lies outside the unit disk about -1, where the branch is
-    # the principal one, and below every cut: phi_t there needs no cut test
-    B = cmath.log(z.conjugate() - 2j)
-    b = 0.5 * (A + B)
-    c = (A - B) / 2j
+    _require_off_cut(t, z - 2j)
+    b, c = _stem_pair(t, z)
     base = embed_complex(b, cfg.base_unit)
     if sc.unit is None:
         return base
     return base + sc.unit * embed_complex(c, cfg.base_unit)
-
-
-def f_t_value(cfg: DourenConfig, t: float, q: Quaternion) -> Quaternion:
-    """The one-slice extension of phi_t, at an arbitrary point q."""
-    sc = slice_decompose(q)
-    return _extend(cfg, sc, phi_value(t, complex(sc.x, sc.y)))
 
 
 def f_douren(cfg: DourenConfig, q: Quaternion) -> Quaternion:
@@ -320,31 +316,13 @@ def f_douren(cfg: DourenConfig, q: Quaternion) -> Quaternion:
     return f_t_value(cfg, t, q)
 
 
-def _f_value(cfg: DourenConfig, q: Quaternion) -> Quaternion:
-    """f_douren without the cut test, for a q whose membership in Omega is
-    already known (the fixtures' checked calls test it in `require`)."""
-    sc = slice_decompose(q)
-    t = 0.0 if sc.unit is None else cfg.t_of(sc.unit)
-    w = complex(sc.x, sc.y - 2.0)
-    A = complex(0.5 * math.log((w * w.conjugate()).real), _branch_arg(t, w))
-    return _extend(cfg, sc, A)
-
-
 def _f_slice_many(cfg: DourenConfig, unit, z: np.ndarray) -> np.ndarray:
-    """Stem rows (N, 2, 4) of f on the cap of each x + y*unit: the halves b
-    and c of f_t_value with t = T(unit) per row (unit: a Quaternion or an
-    (N, 3) array), whole arrays at once. No cut guard: callers check the
-    points."""
-    t = cfg.t_of(unit)
-    z = np.atleast_1d(z).astype(complex)
-    wa = z - 2j
-    wb = np.conj(z) - 2j
-    A = 0.5 * np.log((wa * np.conj(wa)).real) + 1j * _arg_branch_vec(t, wa)
-    # as in _extend: for y >= 0, conj(z) - 2i lies outside the unit disk
-    # about -1 and below every cut, where the branch is the principal one
-    B = np.log(wb)
-    return np.stack([emb_arr(0.5 * (A + B), cfg.base_unit),
-                     emb_arr((A - B) / 2j, cfg.base_unit)], axis=1)
+    """Stem rows (N, 2, 4) of f on the cap of each x + y*unit (y >= 0): the
+    pair of f_t with t = T(unit) per row (unit: a Quaternion or an (N, 3)
+    array), whole arrays at once. No cut guard: callers check the points."""
+    b, c = _stem_pair(cfg.t_of(unit), np.atleast_1d(z).astype(complex))
+    return np.stack([emb_arr(b, cfg.base_unit), emb_arr(c, cfg.base_unit)],
+                    axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +356,15 @@ def fixtures(cfg: DourenConfig | None = None,
     I = cfg.base_unit
     dom = omega_domain(cfg)
 
-    # a checked call tests membership in `require`, so the evaluators run
-    # without a second cut test
-    f = SliceFunction(dom, lambda q: _f_value(cfg, q), backing="closed-form",
-                      label="douren-f",
+    # every fixture is its stem hook: a point value is one stem row, and a
+    # checked call tests membership in `require`, so no second cut test runs
+    f = SliceFunction(dom, backing="closed-form", label="douren-f",
                       slice_many=lambda z, unit: _f_slice_many(cfg, unit, z))
 
     def f_plus(v: Quaternion, label: str) -> SliceFunction:
         """f + v for a constant v: the stems shift their value rows."""
         shift = np.array([v.components(), (0.0,) * 4])
-        return SliceFunction(dom, lambda q: _f_value(cfg, q) + v,
-                             backing="closed-form", label=label,
+        return SliceFunction(dom, backing="closed-form", label=label,
                              slice_many=lambda z, unit:
                                  _f_slice_many(cfg, unit, z) + shift)
 
@@ -411,9 +387,7 @@ def fixtures(cfg: DourenConfig | None = None,
                            slice_decompose(q).y - 2.0))
     # the stems of f_1 and f_0 are those of f on the caps of -I and I,
     # where T = 1 and T = 0
-    D = SliceFunction(torus,
-                      lambda q: f_t_value(cfg, 1.0, q) - f_t_value(cfg, 0.0, q),
-                      backing="closed-form", label="douren-D",
+    D = SliceFunction(torus, backing="closed-form", label="douren-D",
                       slice_many=lambda z, unit: _f_slice_many(cfg, -I, z)
                       - _f_slice_many(cfg, I, z))
 
@@ -423,8 +397,7 @@ def fixtures(cfg: DourenConfig | None = None,
     def ell_stems(z, unit):
         return star_stems(bfn.stems(z, unit), g.stems(z, unit))
 
-    ell = SliceFunction(dom, lambda q: star_eval(bfn, g, q),
-                        backing="composite", label="douren-ell",
+    ell = SliceFunction(dom, backing="composite", label="douren-ell",
                         slice_many=ell_stems)
 
     # m = g * (q - p1) with p1 = g(p0)^{-1} p0 g(p0)
@@ -441,8 +414,7 @@ def fixtures(cfg: DourenConfig | None = None,
     p1 = gp0.inverse() * p0 * gp0
     I1 = gp0.inverse() * I0 * gp0
     b1fn = SliceFunction.from_exact(binom(p1))
-    m = SliceFunction(dom, lambda q: star_eval(g, b1fn, q),
-                      backing="composite", label="douren-m",
+    m = SliceFunction(dom, backing="composite", label="douren-m",
                       slice_many=lambda z, unit: star_stems(
                           g.stems(z, unit), b1fn.stems(z, unit)))
 
@@ -450,9 +422,7 @@ def fixtures(cfg: DourenConfig | None = None,
     quad = real_quadratic(-1.0, 2.0)
     hdom = minus_zero_spheres(dom, quad, "(-1+2S)")
     quad_c = quad.real_coeffs()[::-1]
-    h = SliceFunction(hdom,
-                      lambda q: quad.eval(q).inverse() * star_eval(bfn, g, q),
-                      backing="composite", label="douren-h",
+    h = SliceFunction(hdom, backing="composite", label="douren-h",
                       slice_many=lambda z, unit: scale_stems(
                           1.0 / np.polyval(quad_c, np.atleast_1d(z)),
                           ell_stems(z, unit)))

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import stem_values
-from .domains import cap_component, require_slice_points
+from .domains import (BOUNDARY_TOL, cap_component, require_slice_points,
+                      slice_clearance)
 from .errors import (BadUnitChoice, OpenContour, ProbeOutside,
                      ProbeOutsideValidated)
 from .quaternion import (Quaternion, emb_arr, embed_complex, perp_unit,
@@ -174,10 +175,8 @@ def nc_line_integral(g, contour: Contour, f, j_unit: Quaternion | None = None
     if abs(dot) > 1e-9:
         raise BadUnitChoice("the split unit must be orthogonal to the slice")
     s, wds = contour.samples()
-    fv = np.array([f(embed_complex(complex(z), I)).components() for z in s])
-    gv = np.array([g(embed_complex(complex(z), I)).components() for z in s])
-    F, G = _split_left(fv, I, J)
-    H, K = _split_right(gv, I, J)
+    F, G = _split_left(_eval_on_slice(f, s, I), I, J)
+    H, K = _split_right(_eval_on_slice(g, s, I), I, J)
     hf = pairwise_sum(H * wds * F)
     hg = pairwise_sum(H * wds * G)
     kf = pairwise_sum(K * wds * F)
@@ -350,22 +349,20 @@ def _synth_boundary(f, s: np.ndarray, I: Quaternion, U: SymmetricRegion,
 def _data_consistent(f, s: np.ndarray, S: np.ndarray, Jp: Quaternion,
                      tol: float) -> bool:
     """Check the synthesized data (stem rows S at j0) matches f on the
-    slice L_Jp at a few boundary points (the cap-consistency test driving
-    the bisection)."""
+    slice L_Jp at a few boundary points of the upper half plane (the
+    cap-consistency test driving the bisection): one membership call and
+    one evaluation call. Each point is held to tol times the largest |f|
+    so far (at least 1)."""
     idx = np.linspace(0, s.size - 1, 7).astype(int)
-    scale = 1.0
-    for z, row in zip(s[idx], stem_values(S[idx], Jp)):
-        if z.imag <= 1e-14:
-            continue
-        p = Quaternion(z.real) + Jp * z.imag
-        if not f.domain.contains(p):
-            return False
-        synth = Quaternion(*row)
-        direct = f.eval_unchecked(p)
-        scale = max(scale, direct.norm())
-        if (synth - direct).norm() > tol * scale:
-            return False
-    return True
+    upper = s[idx].imag > 1e-14
+    z = s[idx][upper]
+    if not np.all(slice_clearance(f.domain, z, Jp) > BOUNDARY_TOL):
+        return False
+    synth = stem_values(S[idx][upper], Jp)
+    direct = np.atleast_2d(f.eval_slice_many(z, Jp))
+    norms = np.linalg.norm(direct, axis=1)
+    scale = np.maximum.accumulate(np.maximum(norms, 1.0))
+    return bool(np.all(np.linalg.norm(synth - direct, axis=1) <= tol * scale))
 
 
 # ---------------------------------------------------------------------------

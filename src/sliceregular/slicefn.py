@@ -21,8 +21,10 @@ The unit argument is one Quaternion for a whole slice, so one call serves a
 contour, or an (N, 3) array with one unit per row, so one call serves a
 batch of 4D points x_k + y_k U_k. Exact backings (QPoly, QRational) ignore
 it, the douren fixtures read T(U) per row, and the composites of `algebra`
-pass it on. `SliceFunction.stems` falls back to two evaluations at distinct
-units of each row's cap for a bare evaluator.
+pass it on. Hooks see y >= 0 only: `stems` runs a row with y < 0, the
+point x + |y|(-U), at x + |y|i and -U and negates its c half. With a hook
+a point value is one stem row, b + U c; an evaluator is needed only without
+one, and `stems` then solves two evaluations per row's cap.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import numpy as np
 from .algebra import stem_values
 from .domains import CapId, DomainSpec, cap_component, whole_space
 from .errors import (NotInDomain, OnRealAxis, RealTraceMismatch, UnitsEqual)
-from .quaternion import (ONE, Quaternion, embed_complex, row_units,
-                         slice_decompose)
+from .quaternion import (ONE, QI, Quaternion, embed_complex, row_units,
+                         slice_decompose, unit_rows)
 
 
 @dataclass(frozen=True)
@@ -75,22 +77,27 @@ def solve_two_units(J: Quaternion, fJ: Quaternion, K: Quaternion,
 
 
 class SliceFunction:
-    """domain + evaluator + optional exact backing.
+    """domain + stem hook or evaluator + optional exact backing.
 
     slice_many: optional stem hook (z, unit) -> (N, 2, 4) stem rows (see
-    the module docstring); an exact payload with `stems` supplies it.
+    the module docstring); an exact payload with `stems` supplies it. The
+    evaluator defaults to one stem row per point.
     """
 
-    def __init__(self, domain: DomainSpec, evaluator, backing="closed-form",
-                 payload=None, label="", slice_many=None):
+    def __init__(self, domain: DomainSpec, evaluator=None,
+                 backing="closed-form", payload=None, label="",
+                 slice_many=None):
         self.domain = domain
-        self.evaluator = evaluator
         self.backing = backing
         self.payload = payload
         self.label = label
         if slice_many is None and hasattr(payload, "stems"):
             slice_many = lambda z, unit: payload.stems(z)
+        if evaluator is None and slice_many is None:
+            raise TypeError("a SliceFunction needs an evaluator or a stem hook")
         self._slice_many = slice_many
+        self.evaluator = (evaluator if evaluator is not None
+                          else self._stem_value)
         self._sph_cache = {}
 
     def __repr__(self):
@@ -103,11 +110,18 @@ class SliceFunction:
     def eval_unchecked(self, q: Quaternion) -> Quaternion:
         return self.evaluator(q)
 
+    def _stem_value(self, q: Quaternion) -> Quaternion:
+        """b + unit·c from one stem row at q (b on R, where any unit serves)."""
+        sc = slice_decompose(q)
+        b, c = (Quaternion(*row) for row in self._slice_many(
+            complex(sc.x, sc.y), QI if sc.unit is None else sc.unit)[0])
+        return b if sc.unit is None else b + sc.unit * c
+
     def eval_slice_many(self, z: np.ndarray, unit) -> np.ndarray:
         """Values at x + y*unit for complex z = x+iy, as (N, 4); unit is a
         Quaternion or an (N, 3) array with one unit per row."""
         if self._slice_many is not None:
-            return stem_values(self._slice_many(z, unit), unit)
+            return stem_values(self.stems(z, unit), unit)
         z = np.atleast_1d(z)
         out = np.empty((z.size, 4))
         for k, (zz, u) in enumerate(zip(z, row_units(unit, z.size))):
@@ -118,12 +132,20 @@ class SliceFunction:
         """Stem rows (N, 2, 4) at z = x+iy on the cap of each x+y*unit
         (unit: a Quaternion or one unit per row).
 
-        Without a stem hook: the two-unit spherical data of every point at
-        its own unit (the evaluator itself on the real axis).
+        A row with y < 0 is x + |y|(-unit). Without a stem hook: the
+        two-unit spherical data of every point at its own unit (the
+        evaluator itself on the real axis).
         """
-        if self._slice_many is not None:
-            return self._slice_many(z, unit)
         z = np.atleast_1d(z)
+        if self._slice_many is not None:
+            below = z.imag < 0.0
+            if not below.any():
+                return self._slice_many(z, unit)
+            sign = np.where(below, -1.0, 1.0)[:, None]
+            S = self._slice_many(np.where(below, z.conj(), z),
+                                 sign * unit_rows(unit))
+            S[:, 1] *= sign
+            return S
         out = np.zeros((z.size, 2, 4))
         for k, (zz, u) in enumerate(zip(z, row_units(unit, z.size))):
             if zz.imag == 0.0:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,11 +11,12 @@ from sliceregular.douren import (DourenConfig, arc_point, arg_branch,
                                  cut_distance, f_douren, fixtures,
                                  omega_domain, phi_value)
 from sliceregular.errors import NotInDomain, OnCut, ParamOutOfRange
-from sliceregular.quaternion import QI, QJ, QK, Quaternion, rotate_unit
+from sliceregular.quaternion import (QI, QJ, QK, Quaternion, rotate_unit,
+                                     slice_decompose)
 from sliceregular.slicefn import spherical_data
 from sliceregular.zeros import divides_near, vanishes_on_cap
 
-from oracles import trace_arg
+from oracles import quat_mul, trace_arg, trace_log
 
 CFG = DourenConfig()
 FX = fixtures(CFG)
@@ -192,18 +194,18 @@ def test_base_unit_config():
 
 
 def test_sphere_clearance_matches_scalar_clearance():
-    # the array hook against the scalar boundary_distance at every level-5
+    # the array hook against the scalar reference clearance at every level-5
     # vertex of spheres near -1 + 2S, and the flood fill it drives against
-    # the per-vertex fill of the same domain without the hook
+    # the per-vertex fill of a domain made of the reference alone
     dom = omega_domain(CFG, closed_form_caps=False)
-    plain = DomainSpec(contains=dom.contains, bbox=dom.bbox,
-                       boundary_distance=dom.boundary_distance)
+    plain = DomainSpec(contains=lambda q: _ref_clearance(q) > BOUNDARY_TOL,
+                       bbox=dom.bbox, boundary_distance=_ref_clearance)
     verts, _ = icosphere(5)
     spheres = ((-1.0, 2.0), (-1.04, 2.02), (-0.95, 1.97), (-1.08, 2.06),
                (-0.92, 2.09))
     for x, y in spheres:
         got = dom.sphere_clearance(x, y, verts)
-        want = np.array([dom.boundary_distance(Quaternion(x, *(y * v)))
+        want = np.array([_ref_clearance(Quaternion(x, *(y * v)))
                          for v in verts])
         assert np.abs(got - want).max() <= 1e-12
     x, y = spheres[1]
@@ -244,11 +246,30 @@ def _ref_arc_distance(t, w):
     return dist(0.5 * (lo + hi))
 
 
+@functools.lru_cache(maxsize=None)
 def _ref_cut_distance(t, w):
     d = math.hypot(max(w.real + 2.0, 0.0), w.imag)
     if abs(w + 1.0) > 1.0 + d:
         return d
     return min(d, _ref_arc_distance(t, w))
+
+
+def _ref_clearance(q):
+    """The scalar clearance of Omega, kept as an independent reference:
+    the cut distance in the slice of q (T = min(|J - I|, 1)), and the
+    distance to the cap collar |J - I| = t* where the sphere of q has two
+    caps; 1 on the real axis."""
+    sc = slice_decompose(q)
+    if sc.unit is None:
+        return 1.0
+    t = min((sc.unit - I).norm(), 1.0)
+    d = _ref_cut_distance(t, complex(sc.x, sc.y - 2.0))
+    s2 = 1.0 - (sc.x + 1.0) ** 2
+    if s2 > 0.0:
+        v = (sc.y - 2.0) / math.sqrt(s2)
+        if abs(v) < 1.0 - 1e-14:
+            d = min(d, abs(t - 0.5 * (1.0 - v)) * sc.y)
+    return d
 
 
 def _arc_probe_points(rng, n):
@@ -336,22 +357,31 @@ def test_off_axis_eval_runs_one_cut_test(monkeypatch):
 
 
 def test_checked_fixture_call_runs_one_cut_test(monkeypatch):
-    # the membership test of a checked call is the only cut test: the
-    # fixtures' evaluators do not repeat it
-    seen = []
-    real = douren.cut_distance
+    # the membership test of a checked call is one call of the clearance
+    # routine, and its cut distance the only one: the stem row that gives
+    # the value runs no second cut test
+    clears, cuts = [], []
+    real_clear = douren._clearance
+    real_cut = douren.cut_distance
 
-    def counted(t, w):
-        seen.append(w)
-        return real(t, w)
+    def counted_clear(cfg, x, y, units):
+        clears.append(complex(x, y))
+        return real_clear(cfg, x, y, units)
 
-    monkeypatch.setattr(douren, "cut_distance", counted)
+    def counted_cut(t, w):
+        cuts.append(w)
+        return real_cut(t, w)
+
+    monkeypatch.setattr(douren, "_clearance", counted_clear)
+    monkeypatch.setattr(douren, "cut_distance", counted_cut)
     q = Quaternion(-0.4) + c_minus_unit(2.5) * 1.7
     sg = FX.shifted_g(Quaternion(-1.0) + c_minus_unit(1.9) * 2.0)
     for fn in (FX.f, FX.g, sg):
-        seen.clear()
+        clears.clear()
+        cuts.clear()
         fn(q)
-        assert len(seen) == 1 and abs(seen[0] - complex(-0.4, -0.3)) < 1e-12
+        assert len(clears) == 1 and abs(clears[0] - complex(-0.4, 1.7)) < 1e-12
+        assert len(cuts) == 1 and abs(cuts[0] - complex(-0.4, -0.3)) < 1e-12
 
 
 def test_arc_distance_broadcasts_t_and_w():
@@ -383,13 +413,22 @@ def test_slice_clearance_matches_scalar_clearance():
                 + 1j * rng.uniform(-1.5, 1.5, 200)
             z[:20] = z[:20].conjugate() - 4j
             got = slice_clearance(dom, z, unit)
-            want = np.array([dom.boundary_distance(embed_complex(zz, unit))
+            want = np.array([_ref_clearance(embed_complex(zz, unit))
                              for zz in z])
             assert np.abs(got - want).max() <= 1e-12
 
 
+def _ref_contains(dom, q):
+    """Membership by the reference clearance; the domain of h also leaves
+    out the sphere -1 + 2S."""
+    sc = slice_decompose(q)
+    removed = dom is FX.h.domain and (sc.x, sc.y) == (-1.0, 2.0)
+    return _ref_clearance(q) > BOUNDARY_TOL and not removed
+
+
 def _disk_in_domain_per_point(dom, zc, unit, radius, rings=12, spokes=48):
-    # the per-point disk test the array form replaced, kept as a reference
+    # the per-point disk test the array form replaced, on the reference
+    # clearance
     from sliceregular.quaternion import embed_complex
     spacing = max(2.0 * math.pi * radius / spokes, radius / rings)
     theta = 2.0 * math.pi * np.arange(spokes) / spokes
@@ -397,10 +436,7 @@ def _disk_in_domain_per_point(dom, zc, unit, radius, rings=12, spokes=48):
         r = radius * k / rings
         for t in theta:
             q = embed_complex(zc + r * np.exp(1j * t), unit)
-            if not dom.contains(q):
-                return False
-            if dom.boundary_distance is not None \
-                    and dom.boundary_distance(q) < spacing:
+            if not _ref_contains(dom, q) or _ref_clearance(q) < spacing:
                 return False
     return True
 
@@ -423,9 +459,9 @@ def test_disk_in_domain_array_form_matches_per_point():
                    arc + rng.uniform(-0.2, 0.2) * 1j,
                    complex(-1.0, 2.0) + 0.1 * rng.standard_normal()):
             q = embed_complex(zc, unit)
-            if not FX.domain.contains(q):
+            if not _ref_contains(FX.domain, q):
                 continue
-            d = FX.domain.boundary_distance(q)
+            d = _ref_clearance(q)
             for fac in (0.3, 0.999, 1.001):
                 triples.append((dom, zc, unit, d * fac))
     answers = []
@@ -434,3 +470,85 @@ def test_disk_in_domain_array_form_matches_per_point():
         assert _disk_in_domain(dom, zc, unit, radius) == want
         answers.append(want)
     assert any(answers) and not all(answers)
+
+
+# ---------------------------------------------------------------------------
+# point values and stem rows against the polyline tracer
+
+def _emb(c):
+    """A complex number in the base slice, as a 4-vector."""
+    return np.array([c.real, c.imag * I.x, c.imag * I.y, c.imag * I.z])
+
+
+def _traced_pair(t, z):
+    """(b, c) of the one-slice extension of phi_t at z = x + iy, y >= 0,
+    from traced logarithms at z - 2i and conj(z) - 2i."""
+    A = trace_log(t, z - 2j)
+    B = trace_log(t, z.conjugate() - 2j)
+    return 0.5 * (A + B), (A - B) / 2j
+
+
+def _traced_value(b, c, unit):
+    """b + unit c as a 4-vector (b alone on the real axis)."""
+    if unit is None:
+        return _emb(b)
+    return _emb(b) + quat_mul(unit.components(), _emb(c))
+
+
+def _traced_f(q):
+    sc = slice_decompose(q)
+    t = 0.0 if sc.unit is None else min((sc.unit - I).norm(), 1.0)
+    return _traced_value(*_traced_pair(t, complex(sc.x, sc.y)), sc.unit)
+
+
+def _traced_D(q):
+    sc = slice_decompose(q)
+    z = complex(sc.x, sc.y)
+    d = trace_log(1.0, z - 2j) - trace_log(0.0, z - 2j)
+    return _traced_value(0.5 * d, d / 2j, sc.unit)
+
+
+def _trace_points(rng):
+    """Points on both caps of -1 + 2S, within 1e-3 rad of the collar of
+    -1 + 2S and of two nearby two-cap spheres, and real points."""
+    def unit_at(angle):
+        v = rng.standard_normal(3)
+        return rotate_unit(I, Quaternion(0.0, *(v / np.linalg.norm(v))), angle)
+
+    pts = [Quaternion(-1.0) + unit_at(a) * 2.0 for a in (0.1, 0.3, 1.2, 2.2, 3.0)]
+    for x, y in ((-1.0, 2.0), (-0.97, 2.04), (-1.05, 1.97)):
+        collar = 2.0 * math.asin(0.5 * douren._sphere_band(x, y))
+        for delta in (-1e-3, -3e-4, 3e-4, 1e-3):
+            pts.append(Quaternion(x) + unit_at(collar + delta) * y)
+    return pts + [Quaternion(x) for x in (-2.5, -0.4, 0.7, 1.5)]
+
+
+def test_fixture_values_match_traced_logarithm():
+    # f, g, shifted_g and D through checked calls and through stem rows,
+    # the rows also mirrored below the real axis: x - yi at -J is x + yJ
+    rng = np.random.default_rng(76)
+    pts = _trace_points(rng)
+    p_tilde = Quaternion(-1.0) + c_minus_unit(1.9) * 2.0
+    # shifted_g subtracts the value the C+ data of f extend to at p_tilde
+    b_plus, c_plus = _traced_pair(0.0, complex(-1.0, 2.0))
+    at_tilde = _traced_value(b_plus, c_plus, slice_decompose(p_tilde).unit)
+    cases = [(FX.f, _traced_f),
+             (FX.g, lambda q: _traced_f(q) + _emb(1j * math.pi)),
+             (FX.shifted_g(p_tilde), lambda q: _traced_f(q) - at_tilde),
+             (FX.D, _traced_D)]
+    for fn, ref in cases:
+        inside = [q for q in pts if fn.domain.contains(q)]
+        # D lives on the torus about -1 + 2S, which holds no real point
+        assert len(inside) == (len(pts) - 4 if fn is FX.D else len(pts))
+        want = np.array([ref(q) for q in inside])
+        scale = max(1.0, np.abs(want).max())
+        got = np.array([fn(q).components() for q in inside])
+        assert np.abs(got - want).max() <= 1e-9 * scale, fn.label
+        coords = [slice_decompose(q) for q in inside]
+        z = np.array([complex(c.x, c.y) for c in coords])
+        units = np.array([(QI if c.unit is None else c.unit).components()[1:]
+                          for c in coords])
+        rows = fn.eval_slice_many(np.concatenate([z, z.conj()]),
+                                  np.concatenate([units, -units]))
+        assert np.abs(rows - np.concatenate([want, want])).max() \
+            <= 1e-9 * scale, fn.label

@@ -7,13 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from sliceregular import douren, series
+from sliceregular import algebra, douren, series
 from sliceregular.algebra import (QPoly, QRational, _as_slicefn,
                                   real_quadratic, star_product)
 from sliceregular.domains import ball, slice_clearance
 from sliceregular.quaternion import (QI, QJ, QK, Quaternion, embed_complex,
                                      perp_unit, rotate_unit, slice_decompose)
 from sliceregular.slicefn import SliceFunction, extend_from_slices
+
+from test_douren import _ref_clearance
 
 FX = douren.fixtures()
 I = FX.cfg.base_unit
@@ -135,7 +137,7 @@ def test_probe_makes_array_calls_only(monkeypatch):
     monkeypatch.setattr(series, "slice_clearance", counted_clear)
     monkeypatch.setattr(SliceFunction, "eval_slice_many", counted_many)
     monkeypatch.setattr(SliceFunction, "eval_unchecked", forbidden)
-    monkeypatch.setattr(douren, "star_eval", forbidden)
+    monkeypatch.setattr(algebra, "star_eval", forbidden)
     assert not series._bounded_near(FX.h, FX.pbar)
     # every first candidate passes: one membership call per radius
     assert clear_calls == [96, 96, 96]
@@ -160,7 +162,7 @@ def test_h_domain_has_no_clearance_on_its_removed_sphere():
     near = Quaternion(-1.0) + I * 2.01
     got = slice_clearance(dom, [complex(-1.0, 2.01)], I)[0]
     assert dom.contains(near)
-    assert got == pytest.approx(FX.domain.boundary_distance(near), abs=1e-12)
+    assert got == pytest.approx(_ref_clearance(near), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +244,13 @@ def test_slice_clearance_at_row_units():
     quats = [embed_complex(complex(zz), Quaternion(0.0, *u))
              for zz, u in zip(z, units)]
     got = slice_clearance(FX.domain, z, units)
-    want = np.array([FX.domain.boundary_distance(q) for q in quats])
+    want = np.array([_ref_clearance(q) for q in quats])
     real = z.imag == 0.0
     assert np.abs(got - want)[~real].max() <= 1e-12
-    # on the real axis the scalar clearance is the bound 1 for every slice,
-    # the array one the distance to the cuts of the row's own slice
+    # on the real axis the clearance is 1 at every unit: a bound for every
+    # slice, not the distance to the cuts of the row's own slice
     assert real.sum() == 3 and np.all(want[real] == 1.0)
-    assert np.all(got[real] >= 1.0)
+    assert np.all(got[real] == 1.0)
     # the torus has boundary_distance but no sphere_clearance
     torus = FX.D.domain
     assert torus.sphere_clearance is None

@@ -143,11 +143,14 @@ def test_h_slice_values_run_no_scalar_evaluator(monkeypatch):
     calls = []
     init = SliceFunction.__init__
 
-    def counting_init(self, domain, evaluator, *args, **kwargs):
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        evaluator = self.evaluator
+
         def counted(q):
             calls.append(q)
             return evaluator(q)
-        init(self, domain, counted, *args, **kwargs)
+        self.evaluator = counted
 
     monkeypatch.setattr(SliceFunction, "__init__", counting_init)
     fx = douren.fixtures()
@@ -207,3 +210,30 @@ def test_slice_boundary_leaving_the_domain_is_rejected():
     assert (inside - p.star(p).eval(q)).norm() < 1e-9
     with pytest.raises(NotInDomain):
         local_cauchy(fg, QK, SymmetricRegion.ball(0.0, 1.5), q)
+
+
+def test_rows_below_the_real_axis_are_mirrored_points():
+    # a row x + iy with y < 0 at the unit U is the point x + |y|(-U), on the
+    # cap of -U: -1 - 2.3i at -I is -1 + 2.3 I, where f = 0.0431 - 3.433 I
+    # (the hook read at the row itself gives 0.0431 + 2.850 I, a 2 pi jump)
+    got = FX.f.eval_slice_many(np.array([-1.0 - 2.3j]), -I)[0]
+    want = FX.f(Quaternion(-1.0) + I * 2.3)
+    assert np.abs(got - want.components()).max() <= 1e-12
+    assert np.abs(got - [0.0431, -3.433, 0.0, 0.0]).max() <= 5e-4
+    rng = np.random.default_rng(127)
+    z = complex(-1.0, -2.0) + 0.3 * np.exp(1j * rng.uniform(0, 2 * math.pi, 24))
+    units = [_random_unit(rng) for _ in z]
+    rows = np.array([u.components()[1:] for u in units])
+    for fn in (FX.h, FX.ell):
+        got = fn.eval_slice_many(z, rows)
+        for k, (zz, u) in enumerate(zip(z, units)):
+            want = fn(embed_complex(complex(zz), u))
+            assert np.abs(got[k] - want.components()).max() <= \
+                1e-11 * (1.0 + want.norm()), fn.label
+    # polynomial and rational rows do not move: b(conj z) = b(z) and
+    # c(conj z) = -c(z) bit for bit
+    p = QPoly([Quaternion(*r) for r in rng.standard_normal((5, 4))])
+    r = QRational(p, real_quadratic(0.3, 1.1).star(QPoly([2.0, 1.0])))
+    for exact in (p, r):
+        got = SliceFunction.from_exact(exact).eval_slice_many(z, rows)
+        assert np.array_equal(got, exact.eval_slice_many(z, rows))
