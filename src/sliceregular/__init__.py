@@ -29,8 +29,7 @@ from .zeros import (GhostDivisor, IsolatedZero, SphericalZero, ZeroReport,
                     newton_polish_on_slice, poly_zeros, vanishes_on_cap,
                     zero_scan)
 from .series import (LaurentSeries, SingularityReport, SphericalSeries,
-                     classify_singularity, eval_series, laurent_coeffs,
-                     spherical_coeffs)
+                     classify_singularity, laurent_coeffs, spherical_coeffs)
 from .integral import (Contour, SymmetricRegion, local_cauchy,
                        nc_line_integral, slicewise_cauchy, volume_cauchy)
 from . import douren
@@ -54,7 +53,6 @@ __all__ = [
     "multiplicities", "newton_polish_on_slice",
     "LaurentSeries", "SphericalSeries", "SingularityReport",
     "laurent_coeffs", "spherical_coeffs", "classify_singularity",
-    "eval_series",
     "Contour", "SymmetricRegion", "nc_line_integral", "slicewise_cauchy",
     "local_cauchy", "volume_cauchy",
     "douren",

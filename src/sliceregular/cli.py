@@ -24,14 +24,14 @@ import sys
 import numpy as np
 
 from . import douren as douren_mod
-from .algebra import (QPoly, QRational, _as_slicefn, binom, conj_eval,
-                      real_quadratic, recip_eval, reciprocal_poly, star_eval,
-                      star_product, sym_eval)
-from .errors import EmptyInput, ParamOutOfRange, SliceRegularError
+from .algebra import (QPoly, QRational, _as_slicefn, conj_eval, recip_eval,
+                      reciprocal_poly, star_eval, star_product, sym_eval)
+from .errors import (EmptyInput, NumericError, ParamOutOfRange,
+                     SliceRegularError)
 from .integral import SymmetricRegion, local_cauchy, volume_cauchy
-from .quaternion import QI, QJ, Quaternion, rotate_unit, slice_decompose
+from .quaternion import Quaternion
 from .series import classify_singularity, laurent_coeffs, spherical_coeffs
-from .slicefn import SliceFunction, solve_two_units, spherical_data
+from .slicefn import spherical_data
 from .zeros import (factor_out_point, factor_out_sphere, multiplicities,
                     poly_zeros, zero_scan)
 
@@ -390,217 +390,30 @@ def _douren_grid(fx, grid: str):
 
 
 # ---------------------------------------------------------------------------
-# selftest: abbreviated acceptance battery
+# selftest: the flagship check battery at a quick scale
 
-def _rand_poly(rng, terms):
-    return QPoly([Quaternion(*row) for row in rng.standard_normal((terms, 4))])
-
-
-def _check_representation(rng):
-    worst = 0.0
-    for _ in range(10):
-        p = _rand_poly(rng, 5)
-        f = SliceFunction.from_exact(p)
-        x, y = rng.uniform(-1, 1), rng.uniform(0.2, 2)
-        vals = []
-        for _ in range(3):
-            v = rng.standard_normal(3)
-            J = Quaternion(0.0, *(v / np.linalg.norm(v)))
-            fJ = p.eval(Quaternion(x) + J * y)
-            fK = p.eval(Quaternion(x) - J * y)
-            b, c = solve_two_units(J, fJ, -J, fK)
-            vals.append((b, c / y))
-        scale = max(v[0].norm() + v[1].norm() for v in vals) or 1.0
-        for i in range(len(vals)):
-            for j in range(i):
-                worst = max(worst,
-                            (vals[i][0] - vals[j][0]).norm() / scale,
-                            (vals[i][1] - vals[j][1]).norm() / scale)
-    return worst <= 1e-10, "max deviation %.2e" % worst
-
-
-def _check_reciprocal(rng):
-    worst = 0.0
-    for _ in range(5):
-        p = _rand_poly(rng, 4)
-        r = reciprocal_poly(p)
-        for _ in range(20):
-            q = parse_quat(list(rng.standard_normal(4)))
-            if p.symmetrize().eval(q).norm() < 1e-3:
-                continue
-            num = star_product(p, r.num)
-            v = r.den.eval(q).inverse() * num.eval(q)
-            worst = max(worst, (v - Quaternion(1.0)).norm())
-    return worst <= 1e-9, "max |f*finv - 1| = %.2e" % worst
-
-
-def _check_zero_collapse():
-    p = star_product(binom(QI), binom(QJ))
-    rep = poly_zeros(p)
-    ok = (len(rep.isolated) == 1 and not rep.spherical
-          and (rep.isolated[0].point - QI).norm() < 1e-10)
-    return ok, "isolated=%d spherical=%d" % (len(rep.isolated),
-                                             len(rep.spherical))
-
-
-def _check_cauchy(rng):
-    U = SymmetricRegion.ball(0.0, 1.0)
-    p = _rand_poly(rng, 6)
-    f = SliceFunction.from_exact(p)
-    worst = 0.0
-    for _ in range(10):
-        v = rng.standard_normal(4)
-        q = Quaternion(*(0.5 * v / np.linalg.norm(v)))
-        got = local_cauchy(f, QI, U, q, nodes=512)
-        d = p.eval(q)
-        worst = max(worst, (got - d).norm() / max(d.norm(), 1.0))
-    return worst <= 1e-8, "max residual %.2e" % worst
-
-
-def _check_douren_caps(fx):
-    I = fx.cfg.base_unit
-    phi0 = fx.phi0_pbar
-    worst = 0.0
-    for cap, unit, sgn in ((fx.cap_plus, I, 1.0),
-                           (fx.cap_minus, fx.I0, -1.0)):
-        d = spherical_data(fx.f, Quaternion(-1.0) + unit * 2.0)
-        want_v = (phi0 - I * (sgn * math.pi)) * 0.5
-        want_d = (I * phi0 - Quaternion(sgn * math.pi)) * 0.25
-        worst = max(worst, (d.value - want_v).norm(),
-                    (d.derivative - want_d).norm())
-    return worst <= 1e-9, "max cap-data error %.2e" % worst
-
-
-def _check_jump(fx):
-    j = _douren_jump(fx)
-    err = abs(j["argument_jump"] - 2.0 * math.pi)
-    return err <= 1e-4, "jump error %.2e" % err
-
-
-def _check_ghosts(fx):
-    rep = _douren_fixture_report(fx)
-    ok = (rep["ghost_divisor_at_far_cap_point"] and rep["g_nonzero_there"]
-          and rep["ell_vanishes_on_C+"])
-    return ok, "ghost divisor + ell checks"
-
-
-def _check_torus(fx):
-    I = fx.cfg.base_unit
-    worst = 0.0
-    for ang in (0.3, 1.2, 2.0):
-        J = rotate_unit(I, QJ, ang)
-        q = Quaternion(-1.0) + J * 2.0
-        want = (I + J) * math.pi
-        worst = max(worst, (fx.D(q) - want).norm())
-    return worst <= 1e-10, "max |D - pi(I+J)| = %.2e" % worst
-
-
-def _check_series(rng):
-    from .series import eval_series
-    p = _rand_poly(rng, 7)
-    s = spherical_coeffs(p, 0.3, 1.1)
-    worst = 0.0
-    for _ in range(10):
-        q = Quaternion(*(rng.standard_normal(4) * 0.2)) + Quaternion(0.3, 1.1)
-        worst = max(worst, (eval_series(s, q) - p.eval(q)).norm())
-    r = laurent_coeffs(reciprocal_poly(binom(Quaternion(0.0, 1.0))),
-                       QI, window=(-4, 4))
-    a = r.coeffs.get(-1, Quaternion(0.0))
-    lerr = (a - Quaternion(1.0)).norm()
-    lerr = max(lerr, max((c.norm() for n, c in r.coeffs.items() if n != -1),
-                         default=0.0))
-    return worst <= 1e-9 and lerr <= 1e-10, (
-        "series %.2e laurent %.2e" % (worst, lerr))
-
-
-def _check_normal_form(rng):
-    for _ in range(5):
-        x0, y0 = rng.uniform(-1, 1), rng.uniform(0.5, 2)
-        m = int(rng.integers(0, 3))
-        p = Quaternion(x0, 0.0, 0.0, 0.0) + QI * y0
-        n = int(rng.integers(1, 4))
-        poly = real_quadratic(x0, y0)
-        acc = QPoly([1.0])
-        for _ in range(m):
-            acc = star_product(acc, poly)
-        for k in range(n):
-            acc = star_product(acc, binom(p))
-        classical, spherical, isolated = multiplicities(acc, p)
-        if spherical != 2 * m or isolated != n or classical != m + n:
-            return False, "expected (%d,%d,%d) got (%d,%d,%d)" % (
-                m + n, 2 * m, n, classical, spherical, isolated)
-    return True, "5 normal forms exact"
-
-
-def _check_singularities(fx):
-    p_plus = Quaternion(-1.0) + rotate_unit(fx.cfg.base_unit, QJ, 0.3) * 2.0
-    rep = classify_singularity(fx.h, p_plus, nodes=512)
-    if rep.kind != "removable":
-        return False, "C+ point: %s" % rep.kind
-    rep = classify_singularity(fx.h, fx.pbar, nodes=512)
-    if rep.kind != "nonremovable" or rep.order != 0:
-        return False, "pbar: %s ord %s" % (rep.kind, rep.order)
-    far = Quaternion(-1.0) + rotate_unit(fx.cfg.base_unit, QJ, 2.2) * 2.0
-    rep = classify_singularity(fx.h, far, nodes=512)
-    return (rep.kind == "pole" and rep.order >= 1,
-            "C- point: %s ord %s" % (rep.kind, rep.order))
-
-
-def _check_min_modulus(rng):
-    from .zeros import newton_polish_on_slice
-    for _ in range(5):
-        roots = rng.standard_normal((2, 4))
-        p = star_product(binom(Quaternion(*roots[0])),
-                         binom(Quaternion(*roots[1])))
-        f = SliceFunction.from_exact(p)
-        sc = slice_decompose(Quaternion(*roots[0]))
-        unit = sc.unit if sc.unit is not None else QI
-        z = newton_polish_on_slice(f, complex(sc.x, abs(sc.y)) + 0.01,
-                                   unit, iters=30)
-        from .quaternion import embed_complex
-        if p.eval(embed_complex(z, unit)).norm() > 1e-8:
-            return False, "local minimum with |f| = %.2e" % p.eval(
-                embed_complex(z, unit)).norm()
-    return True, "refined minima vanish"
+# selftest's sample counts as a fraction of the acceptance suite's
+SELFTEST_SCALE = 0.05
 
 
 def cmd_selftest(args):
-    rng = np.random.default_rng(args.seed)
-    fx = douren_mod.fixtures()
-    checks = [
-        ("representation-independence", lambda: _check_representation(rng)),
-        ("reciprocal-identity", lambda: _check_reciprocal(rng)),
-        ("zero-collapse", _check_zero_collapse),
-        ("cauchy-reproduction", lambda: _check_cauchy(rng)),
-        ("cap-data", lambda: _check_douren_caps(fx)),
-        ("branch-jump", lambda: _check_jump(fx)),
-        ("ghost-zeros", lambda: _check_ghosts(fx)),
-        ("torus-zero-divisor", lambda: _check_torus(fx)),
-        ("series-round-trip", lambda: _check_series(rng)),
-        ("multiplicity-normal-form", lambda: _check_normal_form(rng)),
-        ("singularity-classification", lambda: _check_singularities(fx)),
-        ("min-modulus", lambda: _check_min_modulus(rng)),
-    ]
+    # imported here: the battery stays out of the CLI's import time
+    from . import checks
     rows = []
-    all_ok = True
-    for name, fn in checks:
+    for name, seed, check in checks.battery(checks.FX.phi0_pbar):
+        rng = np.random.default_rng([args.seed, seed or 0])
         try:
-            ok, note = fn()
+            ok, note = check(rng, SELFTEST_SCALE)
         except Exception as exc:  # a crashed check is a failed check
             ok, note = False, "%s: %s" % (type(exc).__name__, exc)
-        all_ok = all_ok and ok
         rows.append([name, "pass" if ok else "FAIL", note])
-        print("%-28s %s  (%s)" % (name, "pass" if ok else "FAIL", note))
-    report = {"columns": ["criterion", "status", "note"], "rows": rows,
-              "all_pass": all_ok}
+        print("%-44s %s  (%s)" % tuple(rows[-1]))
+    failed = sum(row[1] == "FAIL" for row in rows)
     if args.out:
-        emit(report, args)
-    return None if all_ok else _Fail(report)
-
-
-class _Fail:
-    def __init__(self, report):
-        self.report = report
+        emit({"columns": ["criterion", "status", "note"], "rows": rows,
+              "all_pass": not failed}, args)
+    if failed:
+        raise NumericError("%d of %d checks failed" % (failed, len(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +421,8 @@ class _Fail:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="spec path or inline JSON")
     common.add_argument("--out", help="output file (default stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--grid", help="NxM slice grid for field output")
 
     ap = argparse.ArgumentParser(
         prog="sliceregular",
@@ -628,12 +438,16 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, fn in verbs.items():
         sp = sub.add_parser(name, parents=[common])
+        sp.add_argument("--input", help="spec path or inline JSON")
         sp.set_defaults(handler=fn)
     sp = sub.add_parser("douren", parents=[common])
     sp.add_argument("--caps", action="store_true",
                     help="emit only the cap spherical-data table")
+    sp.add_argument("--grid", help="NxM slice grid for field output")
     sp.set_defaults(handler=cmd_douren)
     sp = sub.add_parser("selftest", parents=[common])
+    sp.add_argument("--seed", type=int, default=0,
+                    help="combined with each check's own seed")
     sp.set_defaults(handler=cmd_selftest)
     return ap
 
@@ -650,8 +464,6 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
-    if isinstance(report, _Fail):
-        return 3
     if report is not None:
         emit(report, args)
     return 0

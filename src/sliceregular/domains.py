@@ -30,6 +30,8 @@ BOUNDARY_TOL = 1e-9
 SECOND_UNIT_MARGIN = math.pi / 360.0
 # flood fills each DomainSpec keeps in its LRU _cap_cache
 CAP_CACHE_SIZE = 4
+# normal 3-vectors BandCap.sample_units draws per block
+_SAMPLE_BLOCK = 256
 
 
 @dataclass
@@ -158,14 +160,15 @@ class BandCap:
         self.chord = chord
         self.inside = inside
 
-    def _dist(self, unit):
-        return (unit - self.axis).norm()
-
-    def contains_unit(self, unit):
-        d = self._dist(unit)
+    def _holds(self, d):
+        """The strict cap inequality on the chord distance d to the axis,
+        for a float or an array."""
         if self.inside:
             return d < self.chord - BOUNDARY_TOL
         return d > self.chord + BOUNDARY_TOL
+
+    def contains_unit(self, unit):
+        return self._holds((unit - self.axis).norm())
 
     def second_unit(self, unit):
         # the in-cap unit farthest from `unit`: -unit if the cap holds it,
@@ -184,15 +187,16 @@ class BandCap:
         return k
 
     def sample_units(self, n, rng=None):
+        # normals drawn a block at a time, the in-cap rows kept in order
         rng = rng or np.random.default_rng(0)
-        out = []
-        while len(out) < n:
-            v = rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            k = Quaternion(0.0, *v)
-            if self.contains_unit(k):
-                out.append(k)
-        return out
+        axis = np.array(self.axis.components()[1:])
+        units = np.empty((0, 3))
+        while len(units) < n:
+            v = rng.normal(size=(_SAMPLE_BLOCK, 3))
+            v /= np.linalg.norm(v, axis=1)[:, None]
+            v = v[self._holds(np.linalg.norm(v - axis, axis=1))]
+            units = np.vstack([units, v])
+        return [Quaternion(0.0, *row) for row in units[:n]]
 
 
 class GridCap:
@@ -207,10 +211,12 @@ class GridCap:
         self._members = verts[labels == comp]
 
     def contains_unit(self, unit):
+        # the vertices are unit vectors, so the nearest one has the largest
+        # dot product with v
         v = np.array([unit.x, unit.y, unit.z])
-        d = np.linalg.norm(self.verts - v, axis=1)
-        i = int(np.argmin(d))
-        return self.labels[i] == self.comp and d[i] <= 2.0 * self.edge
+        i = int(np.argmax(self.verts @ v))
+        return (self.labels[i] == self.comp
+                and np.linalg.norm(self.verts[i] - v) <= 2.0 * self.edge)
 
     def second_unit(self, unit):
         v = np.array([unit.x, unit.y, unit.z])

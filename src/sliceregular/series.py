@@ -540,9 +540,3 @@ def classify_singularity(f, p: Quaternion, window=(-16, 8), radius=None,
     if _bounded_near(f, p):
         return SingularityReport(p, "removable", 0.0, series)
     return SingularityReport(p, "nonremovable", 0.0, series)
-
-
-def eval_series(series, q: Quaternion, region_check: bool = True) -> Quaternion:
-    if isinstance(series, (LaurentSeries, SphericalSeries)):
-        return series.eval(q, region_check=region_check)
-    raise TypeError("expected LaurentSeries or SphericalSeries")

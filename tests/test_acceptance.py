@@ -1,401 +1,29 @@
-"""End-to-end acceptance suite: the twelve flagship identities and fixtures
-of the library, each run at full scale with its stated tolerance."""
+"""End-to-end acceptance suite: one `test_<name>` per entry of the flagship
+check battery (`sliceregular.checks`), at full scale with the entry's seed."""
 
 import math
-import time
 
 import numpy as np
-import pytest
-from scipy.optimize import minimize
 
-from sliceregular.algebra import (QPoly, binom, real_quadratic,
-                                  reciprocal_poly, star_product, sym_eval)
-from sliceregular.domains import ball
-from sliceregular.douren import DourenConfig, fixtures, phi_value
-from sliceregular.integral import SymmetricRegion, local_cauchy, \
-    slicewise_cauchy, Contour
-from sliceregular.quaternion import (ONE, QI, QJ, QK, Quaternion,
-                                     embed_complex, perp_unit, rotate_unit,
-                                     slice_decompose)
-from sliceregular.series import classify_singularity, laurent_coeffs, \
-    spherical_coeffs
-from sliceregular.slicefn import (SliceFunction, cullen_derivative,
-                                  is_differential_singular, spherical_data)
-from sliceregular.zeros import (cap_zeros, divides_near, multiplicities,
-                                poly_zeros, vanishes_on_cap)
+from sliceregular.checks import FX, battery
+from sliceregular.quaternion import Quaternion
 
 from oracles import trace_arg
 
-CFG = DourenConfig()
-FX = fixtures(CFG)
-I = CFG.base_unit
+# phi0(pbar) = ln(sqrt 17) + I * arg, with the argument delivered by the
+# independent cut-avoiding polyline tracer
+PHI0 = (Quaternion(math.log(math.sqrt(17.0)))
+        + FX.cfg.base_unit * trace_arg(0.0, complex(-1.0, -4.0)))
 
 
-def rand_poly(rng, terms):
-    return QPoly([Quaternion(*row) for row in rng.standard_normal((terms, 4))])
+def _acceptance_test(name, seed, check):
+    def test():
+        ok, note = check(np.random.default_rng(seed), 1.0)
+        assert ok, note
+
+    test.__name__ = test.__qualname__ = "test_" + name
+    return test
 
 
-def rand_unit(rng):
-    v = rng.standard_normal(3)
-    return Quaternion(0.0, *(v / np.linalg.norm(v)))
-
-
-def cap_unit(rng, near: bool):
-    """A unit in the near cap (chord to I < 0.45) or the far cap (> 0.55),
-    staying clear of the cap-boundary collar."""
-    a = rng.uniform(0.0, 2.0 * math.pi)
-    t1 = perp_unit(I)
-    t2 = I * t1
-    toward = t1 * math.cos(a) + t2 * math.sin(a)
-    if near:
-        ang = rng.uniform(0.02, 2.0 * math.asin(0.219))
-    else:
-        ang = rng.uniform(2.0 * math.asin(0.281), 2.8)
-    return rotate_unit(I, toward, ang)
-
-
-# 1 ------------------------------------------------------------------------
-
-def test_representation_formula_unit_independence():
-    # b = (J-K)^{-1}[J f(x+yJ) - K f(x+yK)], c = (J-K)^{-1}[f(.) - f(.)]
-    # must not depend on the pair (J, K)
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(100):
-        p = rand_poly(rng, int(rng.integers(2, 10)))
-        for _ in range(20):
-            x = rng.uniform(-2.0, 2.0)
-            y = rng.uniform(0.1, 2.5)
-            datas = []
-            for _ in range(5):
-                J = rand_unit(rng)
-                K = rand_unit(rng)
-                while (J - K).norm() < 0.3:
-                    K = rand_unit(rng)
-                fJ = p.eval(Quaternion(x) + J * y)
-                fK = p.eval(Quaternion(x) + K * y)
-                d = (J - K).inverse()
-                datas.append((d * (J * fJ - K * fK), d * (fJ - fK)))
-            scale = max(b.norm() + c.norm() for b, c in datas) or 1.0
-            b0, c0 = datas[0]
-            for b, c in datas[1:]:
-                dev = max((b - b0).norm(), (c - c0).norm()) / scale
-                worst = max(worst, dev)
-    assert worst <= 1e-10
-
-
-# 2 ------------------------------------------------------------------------
-
-def test_regular_reciprocal_identity():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(50):
-        p = rand_poly(rng, int(rng.integers(2, 6)))
-        r = reciprocal_poly(p)
-        left = star_product(p, r.num)
-        right = star_product(r.num, p)
-        sym = p.symmetrize()
-        floor = 1e-2 * (sym.scale() or 1.0)
-        n = 0
-        while n < 1000:
-            q = Quaternion(*rng.standard_normal(4))
-            if sym.eval(q).norm() < floor:
-                continue
-            dinv = r.den.eval(q).inverse()
-            worst = max(worst, (dinv * left.eval(q) - ONE).norm(),
-                        (dinv * right.eval(q) - ONE).norm())
-            n += 1
-    assert worst <= 1e-9
-
-
-# 3 ------------------------------------------------------------------------
-
-def test_zero_collapse_unique_isolated_zero():
-    p = star_product(binom(QI), binom(QJ))
-    rep = poly_zeros(p)
-    assert len(rep.isolated) == 1 and not rep.spherical
-    z = rep.isolated[0].point
-    assert (z - QI).norm() < 1e-12
-    assert p.eval(z).norm() <= 1e-12
-    # dense sampling oracle: away from i the product stays bounded below
-    rng = np.random.default_rng(103)
-    lo = math.inf
-    n = 0
-    while n < 10_000:
-        J = rand_unit(rng)
-        if (J - QI).norm() < 0.05:
-            continue
-        lo = min(lo, p.eval(J).norm())
-        n += 1
-    assert lo > 1e-2
-
-
-# 4 ------------------------------------------------------------------------
-
-def test_cauchy_reproduction_on_and_off_slice():
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for _ in range(5):
-        p = rand_poly(rng, int(rng.integers(3, 10)))
-        f = SliceFunction.from_exact(p)
-        unit = rand_unit(rng)
-        ctr = Contour.circle(0.0 + 0.9j, 0.7, unit, nodes=1024)
-        for _ in range(10):
-            z = complex(rng.uniform(-0.3, 0.3), 0.9 + rng.uniform(-0.3, 0.3))
-            want = p.eval(embed_complex(z, unit))
-            got = slicewise_cauchy(f, unit, ctr, z)
-            worst = max(worst, (got - want).norm() / (1.0 + want.norm()))
-        U = SymmetricRegion.ball(0.0, 1.6)
-        for _ in range(10):
-            v = rng.standard_normal(4)
-            q = Quaternion(*(v / np.linalg.norm(v))) * rng.uniform(0.0, 0.9)
-            want = p.eval(q)
-            got = local_cauchy(f, unit, U, q, nodes=2048)
-            worst = max(worst, (got - want).norm() / (1.0 + want.norm()))
-    assert worst <= 1e-8
-
-
-# 5 ------------------------------------------------------------------------
-
-def test_branch_log_cap_data_vs_tracing_oracle():
-    # phi0(pbar) = ln(sqrt 17) + I * arg, with the argument delivered by the
-    # independent cut-avoiding polyline tracer
-    arg = trace_arg(0.0, complex(-1.0, -4.0))
-    phi0 = Quaternion(math.log(math.sqrt(17.0))) + I * arg
-    for unit, sgn in ((I, 1.0), (cap_unit(np.random.default_rng(105), False),
-                                 -1.0)):
-        d = spherical_data(FX.f, Quaternion(-1.0) + unit * 2.0)
-        want_v = (phi0 - I * (sgn * math.pi)) * 0.5
-        want_d = (I * phi0 - Quaternion(sgn * math.pi)) * 0.25
-        assert (d.value - want_v).norm() <= 1e-9
-        assert (d.derivative - want_d).norm() <= 1e-9
-
-
-# 6 ------------------------------------------------------------------------
-
-def test_no_regular_extension_jump():
-    # two-sided limits across the base-slice cut differ by 2*pi in argument
-    dists = np.array([8e-5, 4e-5, 2e-5, 1e-5])
-    inner = [phi_value(0.0, complex(-1.0, 3.0 - d)).imag for d in dists]
-    outer = [phi_value(0.0, complex(-1.0, 3.0 + d)).imag for d in dists]
-    ci = np.polyfit(dists, inner, 2)[-1]
-    co = np.polyfit(dists, outer, 2)[-1]
-    assert abs(abs(ci - co) - 2.0 * math.pi) < 1e-6
-
-
-# 7 ------------------------------------------------------------------------
-
-def test_ghost_divisors_near_cap():
-    rng = np.random.default_rng(107)
-    for _ in range(5):
-        J = cap_unit(rng, False)
-        p_tilde = Quaternion(-1.0) + J * 2.0
-        if (p_tilde - FX.pbar).norm() < 0.2:
-            continue
-        sg = FX.shifted_g(p_tilde)
-        assert divides_near(sg, p_tilde, FX.cap_plus)
-        assert sg(p_tilde).norm() > 1e-2
-
-
-def test_ghost_ell_vanishes_on_one_cap_only():
-    rng = np.random.default_rng(108)
-    for _ in range(100):
-        q = Quaternion(-1.0) + cap_unit(rng, True) * 2.0
-        assert FX.ell(q).norm() <= 1e-9
-    kind, pt = cap_zeros(FX.ell, FX.cap_minus)
-    assert kind == "point" and (pt - FX.pbar).norm() < 1e-8
-    for _ in range(20):
-        q = Quaternion(-1.0) + cap_unit(rng, False) * 2.0
-        if (q - FX.pbar).norm() < 0.3:
-            continue
-        assert FX.ell(q).norm() > 1e-2
-
-
-def test_ghost_m_has_one_zero_per_cap():
-    kind, pt = cap_zeros(FX.m, FX.cap_plus)
-    assert kind == "point"
-    assert FX.cap_plus.contains_unit(slice_decompose(pt).unit)
-    assert FX.m(pt).norm() < 1e-8
-    kind2, pt2 = cap_zeros(FX.m, FX.cap_minus)
-    assert kind2 == "point" and (pt2 - FX.p0).norm() < 1e-8
-
-
-def test_ghost_symmetrization_vanishes_without_zeros():
-    rng = np.random.default_rng(109)
-    p_tilde = Quaternion(-1.0) + cap_unit(rng, False) * 2.0
-    sg = FX.shifted_g(p_tilde)
-    for _ in range(20):
-        q = Quaternion(-1.0) + cap_unit(rng, True) * 2.0
-        assert sym_eval(sg, q).norm() <= 1e-9
-        assert sg(q).norm() > 1e-2
-
-
-# 8 ------------------------------------------------------------------------
-
-def test_locally_slice_zero_divisor_on_torus():
-    rng = np.random.default_rng(110)
-    worst_val = 0.0
-    worst_sym = 0.0
-    top = 0.0
-    for _ in range(1000):
-        J = rand_unit(rng)
-        q = Quaternion(-1.0) + J * 2.0
-        v = FX.D(q)
-        worst_val = max(worst_val, (v - (I + J) * math.pi).norm())
-        worst_sym = max(worst_sym, sym_eval(FX.D, q).norm())
-        top = max(top, v.norm())
-    assert worst_val <= 1e-10
-    assert worst_sym <= 1e-10
-    assert top >= 1.0
-
-
-# 9 ------------------------------------------------------------------------
-
-def test_series_round_trips():
-    rng = np.random.default_rng(111)
-    p = rand_poly(rng, 13)
-    ser = spherical_coeffs(p, 0.3, 1.1)
-    worst = 0.0
-    for _ in range(50):
-        q = Quaternion(0.3, 1.1, 0.0, 0.0) + \
-            Quaternion(*rng.standard_normal(4)) * 0.2
-        want = p.eval(q)
-        worst = max(worst, (ser.eval(q) - want).norm() / (1.0 + want.norm()))
-    assert worst <= 1e-9
-    for center in (QI, Quaternion(0.4) + QK * 1.2):
-        r = reciprocal_poly(binom(center))
-        lser = laurent_coeffs(r, center, window=(-4, 4))
-        assert (lser.coeffs[-1] - ONE).norm() <= 1e-10
-        for n, c in lser.coeffs.items():
-            if n != -1:
-                assert c.norm() <= 1e-10
-
-
-# 10 -----------------------------------------------------------------------
-
-def test_multiplicity_normal_form_extraction():
-    rng = np.random.default_rng(112)
-    for k in range(50):
-        x0 = rng.uniform(-1.5, 1.5)
-        y0 = rng.uniform(0.4, 2.0)
-        J = rand_unit(rng)
-        p = Quaternion(x0) + J * y0
-        # tail factor on a sphere separated from p's by at least 0.5
-        while True:
-            xg = rng.uniform(-2.0, 2.0)
-            yg = rng.uniform(0.3, 2.5)
-            if math.hypot(xg - x0, yg - y0) >= 0.5:
-                break
-        g_tail = binom(Quaternion(xg) + rand_unit(rng) * yg)
-        if k % 5 == 4:
-            # alternating chain: (q-p)*(q-pbar)*(q-p) normalizes to
-            # one spherical factor followed by one linear factor
-            f = star_product(star_product(binom(p), binom(p.conj())),
-                             star_product(binom(p), g_tail))
-            want = (2, 2, 1)
-        else:
-            m = int(rng.integers(0, 3))
-            n = int(rng.integers(0, 4))
-            f = QPoly([1.0])
-            for _ in range(m):
-                f = star_product(f, real_quadratic(x0, y0))
-            for _ in range(n):
-                f = star_product(f, binom(p))
-            f = star_product(f, g_tail)
-            want = (m + n, 2 * m, n)
-        classical, spherical, isolated = multiplicities(f, p)
-        assert (classical, spherical, isolated) == want
-        rep = poly_zeros(f)
-        if want[2] > 0:
-            assert any((z.point - p).norm() < 1e-8 for z in rep.isolated)
-        if want[1] > 0:
-            assert any(abs(s.x - x0) < 1e-8 and abs(s.y - y0) < 1e-8
-                       and s.multiplicity == want[1] for s in rep.spherical)
-
-
-# 11 -----------------------------------------------------------------------
-
-def test_branch_log_quotient_singularity_sweep():
-    rng = np.random.default_rng(113)
-    t0 = time.time()
-    for _ in range(5):
-        q = Quaternion(-1.0) + cap_unit(rng, True) * 2.0
-        rep = classify_singularity(FX.h, q, window=(-8, 4), nodes=512)
-        assert rep.kind == "removable" and rep.order == 0.0
-    rep = classify_singularity(FX.h, FX.pbar, window=(-8, 4), nodes=512)
-    assert rep.kind == "nonremovable" and rep.order == 0.0
-    for _ in range(4):
-        q = Quaternion(-1.0) + cap_unit(rng, False) * 2.0
-        if (q - FX.pbar).norm() < 0.3:
-            continue
-        rep = classify_singularity(FX.h, q, window=(-8, 4), nodes=512)
-        assert rep.kind == "pole" and rep.order >= 1.0
-    assert time.time() - t0 < 300.0
-
-
-# 12 -----------------------------------------------------------------------
-
-def _gauss_newton(p: QPoly, target: Quaternion, start: Quaternion,
-                  iters: int = 25):
-    x = np.array(start.components())
-    h = 1e-6
-    for _ in range(iters):
-        q = Quaternion(*x)
-        r = np.array((p.eval(q) - target).components())
-        if np.linalg.norm(r) < 1e-12:
-            break
-        jac = np.empty((4, 4))
-        for k in range(4):
-            dx = np.zeros(4)
-            dx[k] = h
-            fp = np.array(p.eval(Quaternion(*(x + dx))).components())
-            fm = np.array(p.eval(Quaternion(*(x - dx))).components())
-            jac[:, k] = (fp - fm) / (2.0 * h)
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        x = x - step
-    return Quaternion(*x)
-
-
-def test_minimum_modulus_interior_minima_are_zeros():
-    rng = np.random.default_rng(114)
-    for _ in range(20):
-        nfac = int(rng.integers(2, 5))
-        p = QPoly([1.0])
-        for _ in range(nfac):
-            root = Quaternion(*rng.standard_normal(4)) * 0.6
-            p = star_product(p, binom(root))
-        # best of 2000 candidates, then bound-constrained refinement
-        best, bx = math.inf, None
-        for _ in range(2000):
-            x = rng.uniform(-2.0, 2.0, size=4)
-            v = p.eval(Quaternion(*x)).norm()
-            if v < best:
-                best, bx = v, x
-        obj = lambda x: p.eval(Quaternion(*x)).norm() ** 2
-        res = minimize(obj, bx, method="L-BFGS-B",
-                       bounds=[(-2.0, 2.0)] * 4,
-                       options={"ftol": 1e-20, "gtol": 1e-14})
-        q = _gauss_newton(p, Quaternion(), Quaternion(*res.x))
-        if np.all(np.abs(np.array(q.components())) < 1.999):
-            assert p.eval(q).norm() <= 1e-8
-
-
-def test_open_mapping_image_ball_coverage():
-    rng = np.random.default_rng(115)
-    p = star_product(binom(Quaternion(0.2, 1.0, 0.0, 0.0)),
-                     QPoly([Quaternion(0.5, 0.0, 1.0, 0.0), 1.0]))
-    f = SliceFunction.from_exact(p)
-    done = 0
-    while done < 50:
-        c = Quaternion(*rng.standard_normal(4))
-        if c.im_norm() < 0.2 or cullen_derivative(f, c).norm() < 0.3 \
-                or is_differential_singular(f, c):
-            continue
-        w0 = p.eval(c)
-        for _ in range(3):
-            d = rng.standard_normal(4)
-            target = w0 + Quaternion(*(1e-3 * d / np.linalg.norm(d)))
-            q = _gauss_newton(p, target, c)
-            assert (p.eval(q) - target).norm() <= 1e-9 * (1.0 + target.norm())
-            assert (q - c).norm() < 0.5
-        done += 1
+for _name, _seed, _check in battery(PHI0):
+    globals()["test_" + _name] = _acceptance_test(_name, _seed, _check)

@@ -100,3 +100,60 @@ def test_out_file_and_csv(tmp_path, capsys):
     assert code == 0
     text = path.read_text()
     assert text.splitlines()[0] == "probe,value"
+
+
+EVAL_SPEC = json.dumps({"function": {"poly": [[1, 0, 0, 0]]},
+                        "probes": [[0, 0, 0, 0]]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--seed", "3", "--input", EVAL_SPEC],
+    ["eval", "--grid", "3x3", "--input", EVAL_SPEC],
+    ["douren", "--input", "{}"],
+    ["douren", "--seed", "3"],
+    ["selftest", "--input", "{}"],
+    ["selftest", "--grid", "3x3"],
+])
+def test_flag_on_a_verb_that_ignores_it_exits_2(argv, capsys):
+    # each flag is registered only on the verbs that read it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
+def test_selftest_runs_the_whole_battery(tmp_path, capsys):
+    from sliceregular.checks import FX, battery
+    names = [name for name, _, _ in battery(FX.phi0_pbar)]
+    path = tmp_path / "selftest.json"
+    code, out = run(capsys, "selftest", "--out", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == names
+    assert all(line.split()[1] == "pass" for line in lines)
+    rep = json.loads(path.read_text())
+    assert rep["all_pass"] is True
+    assert [row[0] for row in rep["rows"]] == names
+    assert all(row[1] == "pass" for row in rep["rows"])
+
+
+def _raise(rng, scale):
+    raise ZeroDivisionError("forced")
+
+
+@pytest.mark.parametrize("check, note", [
+    (lambda rng, scale: (False, "forced"), "forced"),
+    (_raise, "ZeroDivisionError: forced"),
+], ids=["returns-false", "raises"])
+def test_selftest_failing_entry_exits_3(check, note, tmp_path, monkeypatch,
+                                        capsys):
+    from sliceregular import checks
+    monkeypatch.setattr(checks, "battery", lambda phi0: [
+        ("fine", 1, lambda rng, scale: (True, "ok")), ("broken", None, check)])
+    path = tmp_path / "selftest.json"
+    code, out = run(capsys, "selftest", "--out", str(path))
+    assert code == 3
+    assert out.splitlines()[1].split()[:2] == ["broken", "FAIL"]
+    rep = json.loads(path.read_text())
+    assert rep["all_pass"] is False
+    assert rep["rows"] == [["fine", "pass", "ok"], ["broken", "FAIL", note]]

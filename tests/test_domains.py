@@ -219,6 +219,39 @@ def test_whole_sphere_and_grid_second_unit():
         lone.second_unit(Quaternion(0.0, *verts[0]))
 
 
+@pytest.mark.parametrize("inside", [True, False])
+def test_band_cap_sample_units_lie_in_the_cap(inside):
+    # the inside cap holds 1/16 of the sphere: 40 units take several blocks
+    cap = BandCap(rotate_unit(QI, QJ, 0.7), 0.5 if inside else 1.5, inside)
+    units = cap.sample_units(40, np.random.default_rng(74))
+    assert len(units) == 40
+    assert all(cap.contains_unit(u) for u in units)
+    again = cap.sample_units(40, np.random.default_rng(74))
+    assert [u.components() for u in again] == [u.components() for u in units]
+
+
+@pytest.mark.parametrize("edge_factor", [1.0, 0.1])
+def test_grid_cap_membership_is_nearest_vertex_rule(edge_factor):
+    # reference: the nearest vertex by distance, in the cap's component and
+    # within two edges; a shrunken edge makes that second test decide too
+    verts, edges = icosphere(3)
+    labels = np.where(verts[:, 2] > 0.2, 0, 1)
+    edge = edge_factor * float(np.linalg.norm(verts[edges[0, 0]]
+                                              - verts[edges[0, 1]]))
+    cap = GridCap(verts, labels, 0, edge)
+    rng = np.random.default_rng(75)
+    verdicts = set()
+    for _ in range(400):
+        J = _rand_unit(rng)
+        d = np.linalg.norm(verts - np.array(J.components()[1:]), axis=1)
+        i = int(np.argmin(d))
+        want = bool(labels[i] == 0 and d[i] <= 2.0 * edge)
+        assert bool(cap.contains_unit(J)) == want
+        verdicts.add((want, bool(labels[i] == 0)))
+    assert (True, True) in verdicts and (False, False) in verdicts
+    assert ((False, True) in verdicts) == (edge_factor < 1.0)
+
+
 def test_cap_cache_is_bounded_lru(monkeypatch):
     dom = DomainSpec(contains=lambda q: q.norm() < 10.0,
                      bbox=((-10.0, 10.0),) * 4, label="ball, grid caps")

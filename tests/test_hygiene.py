@@ -1,6 +1,10 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module imports is used in it, and
+importing the CLI loads neither the check battery nor the optimizer."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sliceregular"
@@ -34,3 +38,14 @@ def test_no_unused_imports():
         found += ["%s:%d %s" % (path.name, line, name)
                   for line, name in _unused_imports(tree)]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def test_cli_import_leaves_battery_and_optimizer_unloaded():
+    # the benchmark's set-up time includes `import sliceregular.cli`;
+    # scipy.optimize alone takes about 0.2 s to load
+    code = ("import sys, sliceregular.cli; print([m for m in "
+            "('sliceregular.checks', 'scipy.optimize') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
