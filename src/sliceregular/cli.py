@@ -322,7 +322,8 @@ def cmd_douren(args):
     report = {"caps": _douren_cap_table(fx)}
     if args.caps:
         return report["caps"]
-    report["jump"] = _douren_jump(fx)
+    report["jump"] = {"argument_jump": douren_mod.cut_jump(),
+                      "expected": 2.0 * math.pi}
     report["fixtures"] = _douren_fixture_report(fx)
     return report
 
@@ -337,17 +338,6 @@ def _douren_cap_table(fx):
                      d.derivative.to_json()])
     return {"columns": ["cap", "sphere", "spherical_value",
                         "spherical_derivative"], "rows": rows}
-
-
-def _douren_jump(fx, dist: float = 1e-5):
-    # approach the cut circle |z - (-1+2I)| = 1 radially from both sides
-    I = fx.cfg.base_unit
-    inner = Quaternion(-1.0) + I * (2.0 + 1.0 - dist)
-    outer = Quaternion(-1.0) + I * (2.0 + 1.0 + dist)
-    diff = fx.f(inner) - fx.f(outer)
-    return {"approach_distance": dist, "difference": diff.to_json(),
-            "argument_jump": diff.norm(),
-            "expected": 2.0 * math.pi}
 
 
 def _douren_fixture_report(fx):

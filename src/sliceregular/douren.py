@@ -217,6 +217,19 @@ def phi_value(t: float, z: complex) -> complex:
     return complex(_phi(t, z))
 
 
+def cut_jump() -> float:
+    """|arg_0 inside - arg_0 outside| across the t = 0 cut at its top,
+    -1 + 3i in the base slice: each side's argument at distance 8e-5,
+    4e-5, 2e-5 and 1e-5 from the cut, extrapolated to 0 by a quadratic
+    fit. No regular extension crosses the cut, where it is 2 pi."""
+    dists = np.array([8e-5, 4e-5, 2e-5, 1e-5])
+    inner = [phi_value(0.0, complex(-1.0, 3.0 - d)).imag for d in dists]
+    outer = [phi_value(0.0, complex(-1.0, 3.0 + d)).imag for d in dists]
+    ci = np.polyfit(dists, inner, 2)[-1]
+    co = np.polyfit(dists, outer, 2)[-1]
+    return float(abs(ci - co))
+
+
 # ---------------------------------------------------------------------------
 # The domain Omega
 

@@ -33,7 +33,7 @@ from .errors import (BadUnitChoice, OpenContour, ProbeOutside,
                      ProbeOutsideValidated)
 from .quaternion import (Quaternion, emb_arr, embed_complex, perp_unit,
                          project_to_slice, qconj_arr, qinv_arr, qmul_arr,
-                         rotate_unit, slice_decompose)
+                         rotate_unit, row_units, slice_decompose)
 from .slicefn import SliceFunction
 
 _CLOSE_TOL = 1e-12
@@ -42,14 +42,17 @@ _CLOSE_TOL = 1e-12
 # ---------------------------------------------------------------------------
 # Quadrature: composite Gauss-Legendre panels on [0, 1]
 
-def _panel_rule(total_nodes: int, per_panel: int = 16):
-    """Nodes/weights of a composite Gauss-Legendre rule on [0,1]."""
-    panels = max(1, int(round(total_nodes / per_panel)))
-    x, w = np.polynomial.legendre.leggauss(per_panel)
-    x = 0.5 * (x + 1.0)    # [0,1] reference panel
-    w = 0.5 * w
-    ts = np.concatenate([(k + x) / panels for k in range(panels)])
-    ws = np.tile(w / panels, panels)
+# the 16-node Gauss-Legendre reference panel on [0, 1]
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(16)
+_PANEL_X = 0.5 * (_PANEL_X + 1.0)
+_PANEL_W = 0.5 * _PANEL_W
+
+
+def _panel_rule(total_nodes: int):
+    """Nodes/weights of a composite 16-node Gauss-Legendre rule on [0,1]."""
+    panels = max(1, int(round(total_nodes / 16)))
+    ts = np.concatenate([(k + _PANEL_X) / panels for k in range(panels)])
+    ws = np.tile(_PANEL_W / panels, panels)
     return ts, ws
 
 
@@ -204,12 +207,16 @@ def slicewise_cauchy(f, I: Quaternion, contour: Contour, z) -> Quaternion:
     return (I * (2.0 * math.pi)).inverse() * acc
 
 
-def _eval_on_slice(f, s: np.ndarray, I: Quaternion) -> np.ndarray:
+def _eval_on_slice(f, s: np.ndarray, I) -> np.ndarray:
+    """Values of f at x + y I for s = x + iy as (N, 4): one membership call
+    and one evaluation call for a SliceFunction. I is a Quaternion or an
+    (N, 3) array with one unit per row."""
     if isinstance(f, SliceFunction):
         require_slice_points(f.domain, s, I)
     if hasattr(f, "eval_slice_many"):
         return np.atleast_2d(f.eval_slice_many(s, I))
-    return np.array([f(embed_complex(complex(z), I)).components() for z in s])
+    return np.array([f(embed_complex(complex(z), u)).components()
+                     for z, u in zip(s, row_units(I, s.size))])
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +397,6 @@ def volume_cauchy(f, U: SymmetricRegion, q: Quaternion,
     units, wu = _unit_sphere_grid(sphere_nodes)
 
     qc = np.array(q.components())
-    acc = np.zeros((units.shape[0], 4))
     x = c + r * np.cos(th)
     y = r * np.sin(th)
     # scalar part of the kernel: (2πy)^{-2} [(q-x)^2 + y^2]^{-1}
@@ -402,18 +408,17 @@ def volume_cauchy(f, U: SymmetricRegion, q: Quaternion,
     scal = qinv_arr(sq) / (2.0 * math.pi * y[:, None]) ** 2
     area_w = (r ** 3) * np.sin(th) ** 2 * wth
 
-    for iu in range(units.shape[0]):
-        Iu = Quaternion(0.0, *units[iu])
-        w_pts = emb_arr(x + 1j * y, Iu)                    # x + y I
-        xmy = w_pts.copy()                                 # x - y I - q
-        xmy[:, 1:] *= -1.0
-        xmy -= qc
-        kern = qmul_arr(scal, xmy)
-        normal = (w_pts - np.array([c, 0.0, 0.0, 0.0])) / r
-        fv = _eval_on_slice(f, x + 1j * y, Iu)
-        rows = qmul_arr(qmul_arr(kern, normal), fv)
-        acc[iu] = pairwise_sum(rows * area_w[:, None]) * wu[iu]
-    return Quaternion(*pairwise_sum(acc))
+    # one row per (unit, curve node), unit-major: w = x + y I at the unit
+    nu = units.shape[0]
+    rows_u = np.repeat(units, n, axis=0)
+    w_pts = np.column_stack([np.tile(x, nu), np.tile(y, nu)[:, None] * rows_u])
+    kern = qmul_arr(np.tile(scal, (nu, 1)), qconj_arr(w_pts) - qc)
+    normal = (w_pts - np.array([c, 0.0, 0.0, 0.0])) / r
+    fv = _eval_on_slice(f, np.tile(x + 1j * y, nu), rows_u)
+    rows = qmul_arr(qmul_arr(kern, normal), fv) * np.tile(area_w, nu)[:, None]
+    # each unit's nodes summed pairwise, then the units
+    per_unit = pairwise_sum(rows.reshape(nu, n, 4).transpose(1, 0, 2))
+    return Quaternion(*pairwise_sum(per_unit * wu[:, None]))
 
 
 def _unit_sphere_grid(total: int):

@@ -23,14 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import QPoly, QRational, binom, real_quadratic, reciprocal_poly
+from .algebra import (QPoly, QRational, binom, real_quadratic,
+                      reciprocal_poly, stem_values)
 from .domains import (BOUNDARY_TOL, require_slice_points, sigma_tau_omega,
                       slice_clearance)
 from .errors import (MaxTermsExceeded, NoAnnulus, NumericError,
                      OutsideConvergenceRegion)
-from .quaternion import (ONE, Quaternion, QI, emb_arr, perp_unit, qmul_arr,
-                         rotate_unit, slice_decompose, slice_rows)
-from .slicefn import SliceFunction, SphericalData, solve_two_units
+from .quaternion import (ONE, Quaternion, QI, perp_unit, rotate_unit,
+                         slice_decompose, slice_rows)
+from .slicefn import SliceFunction
 
 _NOISE = 1e-12
 
@@ -108,18 +109,14 @@ class LaurentSeries:
 
 def _contour_values(f, zc: complex, unit: Quaternion, radius: float,
                     nodes: int):
+    """(theta, z, F) on the circle z = zc + radius e^{i theta}: F = b + i c
+    from one stem call at unit, as a complex (nodes, 4) array, so
+    f(x + y unit) = Re F + unit Im F there."""
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     z = zc + radius * np.exp(1j * theta)
     require_slice_points(f.domain, z, unit)
-    vals = f.eval_slice_many(z, unit)
-    return theta, z, np.atleast_2d(vals)
-
-
-def _coeff_from_samples(theta, vals, radius, n, unit):
-    """a_n = mean of e^{-J n theta} r^{-n} f(samples), kernel on the left."""
-    kern = np.exp(-1j * n * theta) * radius ** (-float(n))
-    prod = qmul_arr(emb_arr(kern, unit), vals)
-    return Quaternion(*prod.mean(axis=0))
+    S = f.stems(z, unit)
+    return theta, z, S[:, 0] + 1j * S[:, 1]
 
 
 def _disk_in_domain(dom, zc, unit, radius, rings=12, spokes=48):
@@ -161,11 +158,15 @@ def laurent_coeffs(f, p: Quaternion, window=(-12, 12), radius=None,
     unit = sc.unit if sc.unit is not None else QI
     zc = complex(sc.x, sc.y)
     radius = _pick_radius(f, zc, unit, radius)
-    theta, _, vals = _contour_values(f, zc, unit, radius, nodes)
-    coeffs = {}
-    nmin, nmax = window
-    for n in range(nmin, nmax + 1):
-        coeffs[n] = _coeff_from_samples(theta, vals, radius, n, unit)
+    theta, _, F = _contour_values(f, zc, unit, radius, nodes)
+    # X_n, the Laurent coefficients of F at zc, one kernel row per order; a
+    # complex factor commutes with X -> Re X + unit Im X, so that is a_n
+    ns = np.arange(window[0], window[1] + 1)
+    kern = (np.exp(-1j * np.outer(ns, theta))
+            * radius ** -ns.astype(float)[:, None])
+    X = kern @ F / nodes
+    a = stem_values(np.stack([X.real, X.imag], axis=1), unit)
+    coeffs = {int(n): Quaternion(*row) for n, row in zip(ns, a)}
     return LaurentSeries(p, coeffs, radius, nodes)
 
 
@@ -228,9 +229,13 @@ class SphericalSeries:
                 if mod <= r1 or mod >= r2:
                     raise OutsideConvergenceRegion(
                         "Cassini modulus %g outside (%g, %g)" % (mod, r1, r2))
+        # a numeric series sums its significant pairs: below the noise floor
+        # a pair is quadrature noise, which negative powers of a small
+        # Cassini modulus would amplify
+        sig = self.significant()
         acc = Quaternion()
         last = math.inf
-        for n in sorted(self.pairs):
+        for n in sorted(self.pairs) if self.exact else sig:
             a, b = self.pairs[n]
             if a.norm() + b.norm() == 0.0:
                 continue
@@ -241,7 +246,6 @@ class SphericalSeries:
             term = un * (a + q * b)
             acc = acc + term
             last = term.norm()
-        sig = self.significant()
         if sig and last > 1e-9 * max(acc.norm(), 1.0) and max(sig) >= 0 \
                 and len(sig) > 24:
             raise MaxTermsExceeded("spherical series not converged in the "
@@ -278,7 +282,6 @@ def _rational_spherical_pairs(f: QRational, x0: float, y0: float,
                               depth: int):
     """Exact recursion on rationals: reduce the denominator by the sphere
     polynomial, then peel pairs with exact division at every step."""
-    quad = real_quadratic(x0, y0)
     den = f.den
     shift = 0
     while den.degree >= 2:
@@ -290,15 +293,9 @@ def _rational_spherical_pairs(f: QRational, x0: float, y0: float,
     pairs = {}
     for k in range(depth):
         n = k - shift
-        # exact spherical data: h = den^{-1} num with den nonzero on sphere
-        num = SphericalData(*h.num.sphere_restriction(x0, y0), None)
-        den = SphericalData(*h.den.sphere_restriction(x0, y0), None)
-        # solve affine data of the quotient from two symmetric sphere points
-        pJ = Quaternion(x0, y0, 0.0, 0.0)
-        pK = Quaternion(x0, -y0, 0.0, 0.0)
-        vJ = den.reconstruct(pJ).inverse() * num.reconstruct(pJ)
-        vK = den.reconstruct(pK).inverse() * num.reconstruct(pK)
-        b, c = solve_two_units(QI, vJ, -QI, vK)
+        # h's stem pair at z0 = x0 + i y0 (den is nonzero on the sphere):
+        # b + J c = w + J v with w = a0 + x0 a1, v = y0 a1
+        b, c = (Quaternion(*row) for row in h.stems(complex(x0, y0))[0])
         a1 = c / y0
         a0 = b - Quaternion(x0) * a1
         pairs[n] = (a0, a1)
@@ -316,56 +313,32 @@ def _rational_spherical_pairs(f: QRational, x0: float, y0: float,
 
 def _numeric_spherical_pairs(f: SliceFunction, x0: float, y0: float, cap,
                              depth: int, nodes: int, window_bottom: int):
-    """Two-slice contour extraction with sample subtraction.
+    """One-contour extraction on the stem F = b + i c, with subtraction.
 
-    Restricted to a slice L_J in the cap, term n of the spherical series
-    has leading slice-Laurent order n at z0 = x0+iy0. Extracting the order-n
-    coefficient on two slices J, K and solving the 2x2 representation
-    system yields (a_{2n}, a_{2n+1}); subtracting the term from the stored
-    contour samples keeps the extraction stable at every depth.
+    On the cap, F(z) = sum_n S(z)^n (a_{2n} + z a_{2n+1}) with the complex
+    scalar S(z) = (z-x0)^2 + y0^2 = (z-z0)(z-z0+2i y0), z0 = x0 + i y0. Term
+    n has leading Laurent order n at z0, with coefficient
+    (2i y0)^n (w + i v), w = a_{2n} + x0 a_{2n+1}, v = y0 a_{2n+1}.
+    Extracting that order from the contour samples of F and subtracting the
+    term from them keeps the extraction stable at every depth.
     """
     from .domains import cap_component
     if cap is None:
         cap = cap_component(f.domain, Quaternion(x0, y0, 0.0, 0.0))
     J = cap.representative
-    K = cap.second_unit(J)
-    zc = complex(x0, y0)
-    rJ = _pick_radius(f, zc, J, None)
-    rK = _pick_radius(f, zc, K, None)
-    r = min(rJ, rK)
-    thJ, zJ, valsJ = _contour_values(f, zc, J, r, nodes)
-    thK, zK, valsK = _contour_values(f, zc, K, r, nodes)
+    z0 = complex(x0, y0)
+    r = _pick_radius(f, z0, J, None)
+    theta, z, F = _contour_values(f, z0, J, r, nodes)
+    S = (z - x0) ** 2 + y0 ** 2
     pairs = {}
     for n in range(window_bottom, depth + 1):
-        cJ = _coeff_from_samples(thJ, valsJ, r, n, J)
-        cK = _coeff_from_samples(thK, valsK, r, n, K)
-        # c = (2 y0)^n J^n (w + J v) with w = a0 + x0 a1, v = y0 a1
-        sJ = _unit_pow_inv(J, n) * cJ / (2.0 * y0) ** n
-        sK = _unit_pow_inv(K, n) * cK / (2.0 * y0) ** n
-        w, v = solve_two_units(J, sJ, K, sK)
-        a1 = v / y0
-        a0 = w - Quaternion(x0) * a1
-        pairs[n] = (a0, a1)
-        if a0.norm() + a1.norm() > 0.0:
-            valsJ = valsJ - _term_samples(zJ, J, x0, y0, n, a0, a1)
-            valsK = valsK - _term_samples(zK, K, x0, y0, n, a0, a1)
+        kern = np.exp(-1j * n * theta) * r ** (-float(n))
+        wv = kern @ F / nodes / (2j * y0) ** n
+        a1 = wv.imag / y0
+        a0 = wv.real - x0 * a1
+        pairs[n] = (Quaternion(*a0), Quaternion(*a1))
+        F = F - S[:, None] ** n * (a0 + z[:, None] * a1)
     return pairs
-
-
-def _unit_pow_inv(J: Quaternion, n: int) -> Quaternion:
-    """J^{-n} for an imaginary unit J."""
-    k = (-n) % 4
-    return (ONE, J, Quaternion(-1.0), -J)[k]
-
-
-def _term_samples(z, unit, x0, y0, n, a0, a1):
-    """Samples of [(z-x0)^2+y0^2]^n (a0 + z a1) on the slice L_unit."""
-    u = (z - x0) ** 2 + y0 ** 2
-    un = u ** float(n) if n >= 0 else (1.0 / u) ** float(-n)
-    const = np.broadcast_to(np.array(a0.components()), (z.size, 4))
-    lin = qmul_arr(emb_arr(z, unit),
-                   np.broadcast_to(np.array(a1.components()), (z.size, 4)))
-    return qmul_arr(emb_arr(un, unit), const + lin)
 
 
 def spherical_coeffs(f, x0: float, y0: float, cap=None, depth: int = 32,
@@ -374,8 +347,8 @@ def spherical_coeffs(f, x0: float, y0: float, cap=None, depth: int = 32,
     """Spherical series pairs (a_{2n}, a_{2n+1}) at the sphere x0+y0*S.
 
     Exact peeling for polynomial/rational backing (negative indices arise
-    when the rational denominator vanishes on the sphere); two-slice
-    contour extraction otherwise.
+    when the rational denominator vanishes on the sphere); one stem contour
+    about x0 + i y0 at the cap's representative unit otherwise.
     """
     if isinstance(f, QPoly):
         return SphericalSeries(x0, y0, _poly_spherical_pairs(f, x0, y0), exact=True)

@@ -36,8 +36,8 @@ import numpy as np
 from .algebra import stem_values
 from .domains import CapId, DomainSpec, cap_component, whole_space
 from .errors import (NotInDomain, OnRealAxis, RealTraceMismatch, UnitsEqual)
-from .quaternion import (ONE, QI, Quaternion, embed_complex, row_units,
-                         slice_decompose, unit_rows)
+from .quaternion import (ONE, QI, Quaternion, embed_complex, qmul_arr,
+                         row_units, slice_decompose, unit_rows)
 
 
 @dataclass(frozen=True)
@@ -314,28 +314,34 @@ def extend_from_slices(r, s, J: Quaternion, K: Quaternion,
     """Build f on `domain` from holomorphic data r on L_J and s on L_K.
 
     r and s are callables of a complex coordinate z = x+iy meaning x+yJ
-    (resp. x+yK), returning quaternion values. The evaluator implements
+    (resp. x+yK), returning quaternion values. The stem hook calls each
+    once per row and solves the pair of f(x+yI) = b + I c,
 
-        f(x+yI) = (J-K)^{-1}[J r - K s] + I (J-K)^{-1}[r - s].
+        b = (J-K)^{-1}[J r - K s],    c = (J-K)^{-1}[r - s],
+
+    on arrays; on a real row r and s must agree (RealTraceMismatch).
     """
     if (J - K).norm() < 1e-12:
         raise UnitsEqual("extension needs two distinct units")
+    dinv = np.array((J - K).inverse().components())
+    Jc, Kc = np.array(J.components()), np.array(K.components())
 
-    def evaluate(q: Quaternion) -> Quaternion:
-        sc = slice_decompose(q)
-        z = complex(sc.x, sc.y)
-        rv = r(z)
-        sv = s(z)
-        b, c = solve_two_units(J, rv, K, sv)
-        if sc.unit is None:
-            if (rv - sv).norm() > real_trace_tol * (1.0 + rv.norm()):
-                raise RealTraceMismatch("slice data disagree at real point %g"
-                                        % sc.x)
-            return b
-        return b + sc.unit * c
+    def stems(z, unit):
+        z = np.atleast_1d(z)
+        rv = np.array([r(complex(zz)).components() for zz in z])
+        sv = np.array([s(complex(zz)).components() for zz in z])
+        diff = rv - sv
+        real = z.imag == 0.0
+        bad = (np.linalg.norm(diff, axis=1)
+               > real_trace_tol * (1.0 + np.linalg.norm(rv, axis=1)))
+        if np.any(real & bad):
+            raise RealTraceMismatch("slice data disagree at real point %g"
+                                    % z[real & bad][0].real)
+        return np.stack([qmul_arr(dinv, qmul_arr(Jc, rv) - qmul_arr(Kc, sv)),
+                         qmul_arr(dinv, diff)], axis=1)
 
-    return SliceFunction(domain, evaluate, backing="closed-form",
-                         label="extension")
+    return SliceFunction(domain, backing="closed-form", label="extension",
+                         slice_many=stems)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import QPoly, binom, quotient_point, real_quadratic
-from .domains import CapId, cap_component, require_slice_points
+from .algebra import QPoly, binom, scale_stems, star_stems
+from .domains import (CapId, cap_component, require_slice_points,
+                      slice_clearance)
 from .errors import (CapMismatch, IdenticallyZero, NotADivisor,
                      NotVanishingOnCap, ZeroPolynomial)
 from .quaternion import (Quaternion, qarr, qmul_arr, same_sphere,
-                         slice_decompose)
+                         slice_decompose, unit_rows)
 from .slicefn import SliceFunction, cullen_derivative, spherical_data
 
 _DIV_TOL = 1e-9
@@ -307,21 +308,48 @@ def _cap_rows(cap: CapId, n: int, rng):
     return np.full(len(units), complex(cap.x, cap.y)), units
 
 
-def _richardson_fill(quotient, q: Quaternion) -> Quaternion:
-    """Value of a quotient at a removable point q on the divisor's sphere:
-    symmetric averages along R at steps d and d/2, one Richardson step."""
-    d = 1e-5 * (1.0 + abs(q))
+# a row on the divisor's sphere (|S(z)| <= _ON_SPHERE (1 + |z|^2)) is
+# filled by the mean of the quotient over _RING nodes on a circle about it
+_ON_SPHERE = 1e-8
+_RING = np.exp(2j * np.pi * np.arange(32) / 32)
 
-    def avg(step):
-        return (quotient(q + Quaternion(step))
-                + quotient(q - Quaternion(step))) * 0.5
 
-    return (avg(d * 0.5) * 4.0 - avg(d)) / 3.0
+def _sphere_quotient(f, x0: float, y0: float, num_stems, label: str):
+    """The SliceFunction on f's domain with stem rows num_stems(z, unit)
+    divided by the complex scalar S(z) = (z-x0)^2 + y0^2.
+
+    A row on the sphere x0 + y0 S gets the mean of that quotient over a
+    circle about its z, of radius a quarter of its clearance and at most
+    half its height off R (1/2 on R): the value of the removable
+    singularity, where num_stems vanishes on the row's cap.
+    """
+    def quotient(z, unit):
+        """(rows on the sphere, num_stems / S(z) off them, unfilled)."""
+        s = (z - x0) ** 2 + y0 ** 2
+        on = np.abs(s) <= _ON_SPHERE * (1.0 + np.abs(z) ** 2)
+        return on, scale_stems(1.0 / np.where(on, 1.0, s), num_stems(z, unit))
+
+    def stems(z, unit):
+        z = np.atleast_1d(z).astype(complex)
+        on, out = quotient(z, unit)
+        if on.any():
+            zc = z[on]
+            uc = np.broadcast_to(unit_rows(unit), (z.size, 3))[on]
+            rho = np.minimum(0.25 * slice_clearance(f.domain, zc, uc),
+                             0.5 * np.where(zc.imag > 0.0, zc.imag, 1.0))
+            ring = (zc[:, None] + rho[:, None] * _RING).ravel()
+            _, vals = quotient(ring, np.repeat(uc, _RING.size, axis=0))
+            out[on] = vals.reshape(len(zc), _RING.size, 2, 4).mean(axis=1)
+        return out
+
+    return SliceFunction(f.domain, backing="composite", label=label,
+                         slice_many=stems)
 
 
 def factor_out_point(f, p: Quaternion, cap: CapId | None = None):
     """g with f = (q-p)*g: exact right division on polynomials, the regular
-    quotient (q-p)^{-*}*f elsewhere, with a radial fill on p's sphere."""
+    quotient (q-p)^{-*}*f = [(q-x_p)^2+y_p^2]^{-1} (q-conj p)*f elsewhere,
+    filled on p's sphere."""
     if isinstance(f, QPoly):
         g, rem = f.divide_right_linear(p)
         if rem.norm() > _DIV_TOL * (f.scale() or 1.0):
@@ -336,20 +364,11 @@ def factor_out_point(f, p: Quaternion, cap: CapId | None = None):
             cap = cap_component(f.domain, p)
         if not divides_near(f, p, cap):
             raise NotADivisor("(q - p) does not divide f near the cap")
-    bfn = SliceFunction.from_exact(binom(p))
-    quad = real_quadratic(sc.x, sc.y)
-
-    def quotient(q: Quaternion) -> Quaternion:
-        return quotient_point(bfn, f, q)
-
-    def evaluate(q: Quaternion) -> Quaternion:
-        if quad.eval(q).norm() > 1e-8 * (1.0 + q.norm2()):
-            return quotient(q)
-        # removable point on the sphere of p
-        return _richardson_fill(quotient, q)
-
-    return SliceFunction(f.domain, evaluate, backing="composite",
-                         label="factor_out_point")
+    conj_binom = binom(p.conj())
+    return _sphere_quotient(
+        f, sc.x, sc.y,
+        lambda z, unit: star_stems(conj_binom.stems(z), f.stems(z, unit)),
+        "factor_out_point")
 
 
 def factor_out_sphere(f, x0: float, y0: float, cap: CapId | None = None):
@@ -363,18 +382,7 @@ def factor_out_sphere(f, x0: float, y0: float, cap: CapId | None = None):
         cap = cap_component(f.domain, Quaternion(x0) + Quaternion(0, y0, 0, 0))
     if not vanishes_on_cap(f, cap):
         raise NotVanishingOnCap("f does not vanish identically on the cap")
-    quad = real_quadratic(x0, y0)
-
-    def quotient(q: Quaternion) -> Quaternion:
-        return quad.eval(q).inverse() * f.eval_unchecked(q)
-
-    def evaluate(q: Quaternion) -> Quaternion:
-        if quad.eval(q).norm() > 1e-8 * (1.0 + q.norm2()):
-            return quotient(q)
-        return _richardson_fill(quotient, q)
-
-    return SliceFunction(f.domain, evaluate, backing="composite",
-                         label="factor_out_sphere")
+    return _sphere_quotient(f, x0, y0, f.stems, "factor_out_sphere")
 
 
 def _near_unit(u: Quaternion, tol: float):

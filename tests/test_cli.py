@@ -157,3 +157,10 @@ def test_selftest_failing_entry_exits_3(check, note, tmp_path, monkeypatch,
     rep = json.loads(path.read_text())
     assert rep["all_pass"] is False
     assert rep["rows"] == [["fine", "pass", "ok"], ["broken", "FAIL", note]]
+
+
+def test_douren_argument_jump_is_2_pi(capsys):
+    code, out = run(capsys, "douren")
+    assert code == 0
+    jump = json.loads(out)["jump"]
+    assert abs(jump["argument_jump"] - 2.0 * np.pi) < 1e-6

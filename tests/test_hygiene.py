@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used in it, and
-importing the CLI loads neither the check battery nor the optimizer."""
+"""Source hygiene: every name a library module imports is used in it,
+importing the CLI loads neither the check battery nor the optimizer, and
+every slice function the library builds has a stem hook."""
 
 import ast
 import os
@@ -49,3 +50,39 @@ def test_cli_import_leaves_battery_and_optimizer_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_every_slice_function_built_in_src_has_a_stem_hook():
+    from sliceregular import douren
+    from sliceregular.algebra import (QPoly, QRational, conjugate, reciprocal,
+                                      real_quadratic, star_product,
+                                      symmetrize)
+    from sliceregular.domains import ball
+    from sliceregular.quaternion import QI, QJ, Quaternion, embed_complex
+    from sliceregular.slicefn import SliceFunction, extend_from_slices
+    from sliceregular.zeros import factor_out_point, factor_out_sphere
+
+    FX = douren.fixtures()
+    S = SliceFunction.from_exact(real_quadratic(-1.0, 2.0))
+    built = {
+        "from_exact(QPoly)": S,
+        "from_exact(QRational)": SliceFunction.from_exact(
+            QRational(QPoly([1.0]), real_quadratic(0.0, 1.0))),
+        "star_product": star_product(FX.g, FX.g),
+        "conjugate": conjugate(FX.g),
+        "symmetrize": symmetrize(FX.g),
+        "reciprocal": reciprocal(FX.g),
+        "factor_out_point": factor_out_point(
+            FX.shifted_g(FX.p0), FX.p0, cap=FX.cap_plus),
+        "factor_out_sphere": factor_out_sphere(star_product(S, FX.g),
+                                               -1.0, 2.0, FX.cap_plus),
+        "extend_from_slices": extend_from_slices(
+            lambda z: embed_complex(z, QI), lambda z: embed_complex(z, QJ),
+            QI, QJ, ball(0.0, 1.0)),
+        "shifted_g": FX.shifted_g(Quaternion(-1.0) + FX.I0 * 2.0),
+    }
+    built.update((name, getattr(FX, name))
+                 for name in ("f", "D", "g", "ell", "m", "h"))
+    bare = sorted(name for name, fn in built.items()
+                  if fn._slice_many is None)
+    assert not bare, "built without a stem hook: " + ", ".join(bare)

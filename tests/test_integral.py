@@ -7,6 +7,7 @@ from sliceregular.algebra import QPoly, binom, star_product
 from sliceregular.douren import DourenConfig, fixtures
 from sliceregular.errors import (BadUnitChoice, OpenContour, ProbeOutside,
                                  ProbeOutsideValidated)
+from sliceregular import integral
 from sliceregular.integral import (Arc, Contour, SymmetricRegion,
                                    local_cauchy, nc_line_integral,
                                    pairwise_sum, slicewise_cauchy,
@@ -180,3 +181,70 @@ def test_pairwise_sum_matches_plain_sum():
     rng = np.random.default_rng(92)
     a = rng.standard_normal((1000, 4))
     assert np.allclose(pairwise_sum(a), a.sum(axis=0), atol=1e-12)
+
+
+def test_panel_rule_is_the_mapped_16_node_rule():
+    x, w = np.polynomial.legendre.leggauss(16)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    for total, panels in ((16, 1), (24, 2), (256, 16), (1000, 62)):
+        ts, ws = integral._panel_rule(total)
+        assert np.array_equal(
+            ts, np.concatenate([(k + x) / panels for k in range(panels)]))
+        assert np.array_equal(ws, np.tile(w / panels, panels))
+
+
+def _volume_cauchy_per_unit(f, c, r, q, curve_nodes, sphere_nodes):
+    """The volume formula one unit of the sphere grid at a time."""
+    from sliceregular.quaternion import emb_arr, qinv_arr, qmul_arr
+    th, wth = integral._panel_rule(curve_nodes)
+    th, wth = th * math.pi, wth * math.pi
+    units, wu = integral._unit_sphere_grid(sphere_nodes)
+    qc = np.array(q.components())
+    x, y = c + r * np.cos(th), r * np.sin(th)
+    qx = np.tile(qc, (th.size, 1))
+    qx[:, 0] -= x
+    sq = qmul_arr(qx, qx)
+    sq[:, 0] += y ** 2
+    scal = qinv_arr(sq) / (2.0 * math.pi * y[:, None]) ** 2
+    area_w = (r ** 3) * np.sin(th) ** 2 * wth
+    acc = np.zeros((units.shape[0], 4))
+    for iu in range(units.shape[0]):
+        Iu = Quaternion(0.0, *units[iu])
+        w_pts = emb_arr(x + 1j * y, Iu)
+        xmy = w_pts.copy()
+        xmy[:, 1:] *= -1.0
+        xmy -= qc
+        kern = qmul_arr(scal, xmy)
+        normal = (w_pts - np.array([c, 0.0, 0.0, 0.0])) / r
+        fv = f.eval_slice_many(x + 1j * y, Iu)
+        rows = qmul_arr(qmul_arr(kern, normal), fv)
+        acc[iu] = pairwise_sum(rows * area_w[:, None]) * wu[iu]
+    return Quaternion(*pairwise_sum(acc))
+
+
+def test_volume_cauchy_is_one_call_and_the_per_unit_sum(monkeypatch):
+    rng = np.random.default_rng(1212)
+    p = QPoly([Quaternion(*row) for row in rng.standard_normal((6, 4))])
+    f = SliceFunction.from_exact(p)
+    calls = {"member": 0, "eval": 0}
+    member, evaluate = integral.require_slice_points, f.eval_slice_many
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    U = SymmetricRegion.ball(0.0, 1.5)
+    q = Quaternion(0.1, 0.2, -0.3, 0.25)
+    for nodes in ((32, 24), (256, 590)):
+        want = _volume_cauchy_per_unit(f, 0.0, 1.5, q, *nodes)
+        monkeypatch.setattr(integral, "require_slice_points",
+                            counted("member", member))
+        monkeypatch.setattr(f, "eval_slice_many", counted("eval", evaluate))
+        got = volume_cauchy(f, U, q, *nodes)
+        monkeypatch.undo()
+        assert calls == {"member": 1, "eval": 1}
+        calls.update(member=0, eval=0)
+        assert got.components() == want.components()
+        assert (got - p.eval(q)).norm() < 1e-12

@@ -9,7 +9,7 @@ from sliceregular.algebra import (QPoly, QRational, binom, real_quadratic,
 from sliceregular.domains import ball
 from sliceregular.errors import OutsideConvergenceRegion
 from sliceregular.quaternion import (ONE, QI, QJ, QK, Quaternion,
-                                     embed_complex)
+                                     embed_complex, rotate_unit)
 from sliceregular.series import (classify_singularity, laurent_coeffs,
                                  spherical_coeffs)
 from sliceregular.slicefn import SliceFunction, extend_from_slices
@@ -172,3 +172,64 @@ def test_spherical_series_json_shape():
     data = ser.to_json()
     assert data["sphere"] == [0.0, 1.0]
     assert "0" in data["pairs"]
+
+
+# ---------------------------------------------------------------------------
+# One stem contour per extraction, on the branch-log fixtures
+
+def _douren():
+    from sliceregular.douren import fixtures
+    return fixtures()
+
+
+def test_spherical_coeffs_use_one_contour_and_no_unit_pair(monkeypatch):
+    from sliceregular import domains, slicefn
+
+    def banned(*args, **kwargs):
+        raise AssertionError("two-unit path used")
+
+    FX = _douren()
+    monkeypatch.setattr(domains.CapId, "second_unit", banned)
+    monkeypatch.setattr(slicefn, "solve_two_units", banned)
+    for cap in (FX.cap_plus, FX.cap_minus):
+        ser = spherical_coeffs(FX.g, -1.0, 2.0, cap=cap, depth=12)
+        assert ser.pairs[0][0].norm() > 1.0
+
+
+def test_spherical_pairs_of_g_reproduce_it_and_keep_decaying():
+    # g is regular on -1 + 2S: cap-wide pairs that decay with the order,
+    # reproducing g on both caps from a distance 0.01 to 0.1 off the sphere
+    FX = _douren()
+    rng = np.random.default_rng(1207)
+    for cap in (FX.cap_plus, FX.cap_minus):
+        ser = spherical_coeffs(FX.g, -1.0, 2.0, cap=cap, depth=12)
+        size = [a.norm() + b.norm() for a, b in
+                (ser.pairs[n] for n in range(8, 13))]
+        assert all(b <= a for a, b in zip(size, size[1:])), size
+        worst = 0.0
+        for U, rho in zip(cap.sample_units(12, rng),
+                          np.tile([0.01, 0.03, 0.1], 4)):
+            z = complex(-1.0, 2.0) + rho * cmath.exp(1j * rng.uniform(0, 7))
+            q = Quaternion(z.real) + U * z.imag
+            want = FX.g(q)
+            worst = max(worst, (ser.eval(q) - want).norm() / want.norm())
+        assert worst < 1e-12
+
+
+def test_laurent_coeffs_match_the_kernel_formula():
+    # reference: a_n = mean of e^{-J n theta} r^{-n} h(samples) with the
+    # kernel multiplied on the left, as quaternion rows, one order at a time
+    from sliceregular.quaternion import emb_arr, qmul_arr
+    FX = _douren()
+    for U in (rotate_unit(FX.cfg.base_unit, QJ, 0.3), FX.I0):
+        p = Quaternion(-1.0) + U * 2.0
+        ser = laurent_coeffs(FX.h, p, window=(-8, 4), nodes=512)
+        theta = 2.0 * math.pi * np.arange(512) / 512
+        z = complex(-1.0, 2.0) + ser.radius * np.exp(1j * theta)
+        vals = FX.h.eval_slice_many(z, U)
+        scale = ser.scale()
+        for n in range(-8, 5):
+            kern = np.exp(-1j * n * theta) * ser.radius ** (-float(n))
+            want = qmul_arr(emb_arr(kern, U), vals).mean(axis=0)
+            got = np.array(ser.coeffs[n].components())
+            assert np.abs(got - want).max() <= 1e-13 * scale, n

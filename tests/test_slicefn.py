@@ -5,7 +5,7 @@ import pytest
 
 from sliceregular.algebra import QPoly, binom, star_product
 from sliceregular.domains import ball
-from sliceregular.errors import OnRealAxis, UnitsEqual
+from sliceregular.errors import OnRealAxis, RealTraceMismatch, UnitsEqual
 from sliceregular.quaternion import (ONE, QI, QJ, QK, Quaternion,
                                      embed_complex, rotate_unit,
                                      slice_decompose)
@@ -98,6 +98,18 @@ def test_extension_formula_equal_units_rejected():
     with pytest.raises(UnitsEqual):
         extend_from_slices(lambda z: Quaternion(1.0), lambda z: Quaternion(1.0),
                            QI, QI, ball())
+
+
+def test_extension_with_disagreeing_real_traces_raises_on_r():
+    # r and s differ on the real axis: real rows raise, other rows solve
+    f = extend_from_slices(lambda z: embed_complex(z, QI),
+                           lambda z: embed_complex(z, QJ) + Quaternion(1.0),
+                           QI, QJ, ball(0.0, 3.0))
+    with pytest.raises(RealTraceMismatch):
+        f(Quaternion(0.5))
+    with pytest.raises(RealTraceMismatch):
+        f.stems(np.array([0.5 + 0.5j, 0.5 + 0.0j]), QI)
+    assert np.isfinite(f(Quaternion(0.5) + QJ * 0.5).components()).all()
 
 
 def test_differential_matches_finite_differences():

@@ -178,3 +178,37 @@ def test_report_json_round_trip():
     assert data["isolated"][0]["point"] == pytest.approx([0.0, 1.0, 0.0, 0.0],
                                                          abs=1e-12)
     assert data["spherical"] == []
+
+
+def _sphere_rows(cap, n, seed):
+    """n units of the cap, at the point -1 + 2i of -1 + 2S, as rows."""
+    units = np.array([u.components()[1:] for u in
+                      cap.sample_units(n, np.random.default_rng(seed))])
+    return np.full(n, complex(-1.0, 2.0)), units
+
+
+def test_factor_out_point_fills_the_removable_sphere():
+    # on -1 + 2S in C+ every row of the quotient is a fill; its stem rows
+    # satisfy (q - p~) * g = shifted_g(p~) there
+    from sliceregular.algebra import star_stems
+    p_tilde = FX.p0
+    sg = FX.shifted_g(p_tilde)
+    quot = factor_out_point(sg, p_tilde, cap=FX.cap_plus)
+    z, units = _sphere_rows(FX.cap_plus, 16, 1213)
+    back = star_stems(binom(p_tilde).stems(z), quot.stems(z, units))
+    want = sg.stems(z, units)
+    assert np.abs(back - want).max() < 1e-13 * np.abs(want).max()
+
+
+def test_factor_out_sphere_fills_the_removable_sphere():
+    # f = S * g with S = (q+1)^2 + 4 vanishes on both caps of -1 + 2S: the
+    # quotient f / S is g on the sphere (filled rows) and 0.05 off it
+    S = SliceFunction.from_exact(real_quadratic(-1.0, 2.0))
+    f = star_product(S, FX.g)
+    for cap in (FX.cap_plus, FX.cap_minus):
+        h = factor_out_sphere(f, -1.0, 2.0, cap)
+        z, units = _sphere_rows(cap, 16, 1214)
+        for zz in (z, z + 0.05 * np.exp(1j * np.arange(16))):
+            want = FX.g.stems(zz, units)
+            assert np.abs(h.stems(zz, units) - want).max() \
+                < 1e-13 * np.abs(want).max()
