@@ -24,8 +24,10 @@ One routine per quantity takes floats or arrays: the branch argument, the
 stem pair of f_t, the cut distance and Omega's clearance. f_douren is the
 cut test (OnCut within BOUNDARY_TOL) plus the stem pair; the fixtures are
 stem hooks alone, whose checked calls leave the cut test to membership. The
-arc distance refines the nearest point of a 721-point theta grid by Newton
-steps on |arc(theta) - w|^2 until they stall.
+arc distance needs no search: the geometry of the half-ellipse brackets its
+nearest point in closed form (the tip, the crown, or the one stationary point
+in a bracket), and one safeguarded Newton solve per entry, over whole
+arrays, finds the stationary point.
 """
 
 from __future__ import annotations
@@ -77,65 +79,69 @@ def arc_point(t: float, J: Quaternion, s: float) -> Quaternion:
 # ---------------------------------------------------------------------------
 # Cut geometry in the translated w-plane (w = z - 2i)
 
-# the coarse theta grid of the arc distance, and the Newton refinement of
-# its nearest point: it stops once no step moves theta by more than
-# _ARC_STEP_TOL, or after _ARC_NEWTON_MAX steps. Most points take 2-4; a point
-# near a tip's centre of curvature, where the minimum is flat (quartic),
-# takes up to about 28.
-_ARC_TH = np.linspace(0.0, math.pi, 721)
-_ARC_COS = np.cos(_ARC_TH)
-_ARC_SIN = np.sin(_ARC_TH)
-_ARC_LAST = len(_ARC_TH) - 1
+# The arc distance. Centred on -1 and mirrored to X = |Re w + 1| >= 0 and
+# Y = sign(b) Im w, the arc is (cos th, beta sin th), beta = |b|, and its
+# nearest point to (X, Y) lies on th in [0, pi/2]: since X >= 0, the other
+# half is no nearer. There, half the th-derivative of the squared distance is
+# g = h cos th with h(th) = X tan th - e sin th + B, e = 1 - beta^2 and
+# B = -beta Y. h is convex, smallest at th_m with cos^3 th_m = min(X/e, 1),
+# so the nearest point is the tip th = 0, the crown th = pi/2, or, when
+# h(th_m) < 0, the one zero of h above th_m. That zero lies in the bracket
+# [th_m, th_hi], th_hi = atan2(e - B, X), because h >= X tan th - e + B.
+# Newton steps on h from th_hi stay in the bracket and fall monotonically to
+# the zero, since h is convex and increasing there. An entry stops once its
+# step moves th by at most _ARC_STEP_TOL, or after _ARC_NEWTON_MAX steps.
+# Most entries take 1-4 steps. Next to the ellipse's evolute, where the
+# zero is nearly double, and next to a tip at t ~ 1/2, where the minimum is
+# flat (quartic), they take up to about 30.
 _ARC_STEP_TOL = 1e-8
 _ARC_NEWTON_MAX = 40
-# a curvature floor: where |arc - w|^2 is not convex the step runs downhill
-# to the end of its bracket
-_ARC_CURV_MIN = 1e-12
-# entries of cut_distance's (entries x 721) coarse search held at once: two
-# such arrays of 64 entries take 0.74 MB
-_ARC_CHUNK = 64
 
 
 def _arc_distance(t, w):
     """Distance from w to the half-ellipse arc of parameter t. t and w are
     floats or arrays broadcast against each other: one distance per entry."""
-    b = 1.0 - 2.0 * np.asarray(t, dtype=float)
-    w = np.asarray(w, dtype=complex)
-    wr, wi = w.real, w.imag
-    # nearest grid point, from squared distances built in place
-    d2 = b[..., None] * _ARC_SIN - wi[..., None]
-    d2 *= d2
-    dx = _ARC_COS - 1.0 - wr[..., None]
-    dx *= dx
-    d2 += dx
-    i = d2.argmin(axis=-1)
-    lo = _ARC_TH[np.maximum(i - 1, 0)]
-    hi = _ARC_TH[np.minimum(i + 1, _ARC_LAST)]
-    # start mid-bracket: at a tip theta = 0 or pi the squared distance is
-    # stationary when t = 1/2 or w is real, and Newton would stay there
-    th = 0.5 * (lo + hi)
-    for _ in range(_ARC_NEWTON_MAX):
-        c = np.cos(th)
-        s = np.sin(th)
-        u = c - 1.0 - wr
-        v = b * s - wi
-        # first and second theta-derivatives of |arc(theta) - w|^2 / 2
-        g1 = b * v * c - u * s
-        g2 = s * s - u * c + b * b * c * c - b * v * s
-        prev = th
-        th = np.minimum(np.maximum(th - g1 / np.maximum(g2, _ARC_CURV_MIN),
-                                   lo), hi)
-        if (np.abs(th - prev) <= _ARC_STEP_TOL).all():
-            break
-    return np.hypot(np.cos(th) - 1.0 - wr, b * np.sin(th) - wi)
-
-
-def _arc_chunks(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """_arc_distance over 1-D arrays t and w, _ARC_CHUNK entries at a
-    time."""
-    return np.concatenate([np.empty(0)] + [
-        _arc_distance(t[s:s + _ARC_CHUNK], w[s:s + _ARC_CHUNK])
-        for s in range(0, t.size, _ARC_CHUNK)])
+    b, w = np.broadcast_arrays(1.0 - 2.0 * np.asarray(t, dtype=float),
+                               np.asarray(w, dtype=complex))
+    shape = b.shape
+    b, w = b.ravel(), w.ravel()
+    X = np.abs(w.real + 1.0)
+    Y = np.copysign(1.0, b) * w.imag
+    beta = np.abs(b)
+    e = 1.0 - beta * beta
+    B = -beta * Y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # cos th_m; fmin maps the NaN of X = e = 0 to 1
+        cm = np.fmin(np.cbrt(X / e), 1.0)
+        sm = np.sqrt(1.0 - cm * cm)
+        # th_hi, a point of [0, pi/2] also where there is no zero
+        th = np.arctan2(np.maximum(e - B, 0.0), X)
+        # solve where g(th_m) = h(th_m) cos th_m < 0, dropping each entry
+        # once it stops
+        idx = np.flatnonzero((X - e * cm) * sm + B * cm < 0.0)
+        th_i, X_i, e_i, B_i = th[idx], X[idx], e[idx], B[idx]
+        lo, hi = np.arccos(cm[idx]), th_i.copy()
+        for _ in range(_ARC_NEWTON_MAX):
+            if not idx.size:
+                break
+            tn = np.tan(th_i)
+            new = th_i - (X_i * tn - e_i * np.sin(th_i) + B_i) / (
+                X_i * (1.0 + tn * tn) - e_i * np.cos(th_i))
+            # rounding aside the steps stay in [lo, hi]; fmin maps a NaN
+            # step to hi
+            new = np.fmin(np.maximum(new, lo), hi)
+            done = np.abs(new - th_i) <= _ARC_STEP_TOL
+            th_i = new
+            if done.any():
+                th[idx[done]] = th_i[done]
+                keep = ~done
+                idx, th_i, X_i, e_i, B_i, lo, hi = (
+                    idx[keep], th_i[keep], X_i[keep], e_i[keep], B_i[keep],
+                    lo[keep], hi[keep])
+        th[idx] = th_i
+    d = np.minimum(np.hypot(np.cos(th) - X, beta * np.sin(th) - Y),
+                   np.minimum(np.hypot(1.0 - X, Y), np.hypot(X, beta - Y)))
+    return d.reshape(shape)[()]
 
 
 def cut_distance(t, w):
@@ -144,8 +150,9 @@ def cut_distance(t, w):
     against each other, one distance per entry (a float for floats).
 
     The arc distance runs only where the cheap reject fails (the arc lies in
-    the closed unit disk about -1); for one w against an array of t (one
-    sphere of the flood fill) it runs once per distinct t.
+    the closed unit disk about -1), in one call on all those entries: its
+    bracket and Newton solve take whole arrays. For one w against an array
+    of t (one sphere of the flood fill) it runs once per distinct t.
     """
     d = np.hypot(np.maximum(np.real(w) + 2.0, 0.0), np.imag(w))
     near = np.abs(w + 1.0) <= 1.0 + d
@@ -156,12 +163,12 @@ def cut_distance(t, w):
         if not near:
             return np.full(t.shape, d)
         tn, back = np.unique(t, return_inverse=True)
-        arc = _arc_chunks(tn, np.broadcast_to(complex(w), tn.shape))
+        arc = _arc_distance(tn, w)
         return np.minimum(d, arc[back].reshape(t.shape))
     t, w, d, near = np.broadcast_arrays(np.asarray(t, dtype=float), w, d,
                                         near)
     out = d.copy()
-    out[near] = np.minimum(d[near], _arc_chunks(t[near], w[near]))
+    out[near] = np.minimum(d[near], _arc_distance(t[near], w[near]))
     return out
 
 

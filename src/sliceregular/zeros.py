@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import QPoly, binom, scale_stems, star_stems
-from .domains import (CapId, cap_component, require_slice_points,
-                      slice_clearance)
+from .domains import (CapId, DomainSpec, cap_component,
+                      require_slice_points, slice_clearance)
 from .errors import (CapMismatch, IdenticallyZero, NotADivisor,
                      NotVanishingOnCap, ZeroPolynomial)
 from .quaternion import (Quaternion, qarr, qmul_arr, same_sphere,
@@ -314,9 +314,48 @@ _ON_SPHERE = 1e-8
 _RING = np.exp(2j * np.pi * np.arange(32) / 32)
 
 
-def _sphere_quotient(f, x0: float, y0: float, num_stems, label: str):
-    """The SliceFunction on f's domain with stem rows num_stems(z, unit)
-    divided by the complex scalar S(z) = (z-x0)^2 + y0^2.
+def _on_sphere(z, x0: float, y0: float):
+    """S(z) = (z-x0)^2 + y0^2 and the rows on the sphere x0 + y0 S, where
+    |S(z)| <= _ON_SPHERE (1 + |z|^2)."""
+    s = (z - x0) ** 2 + y0 ** 2
+    return s, np.abs(s) <= _ON_SPHERE * (1.0 + np.abs(z) ** 2)
+
+
+def _minus_sphere_off_cap(base: DomainSpec, x0: float, y0: float,
+                          cap: CapId) -> DomainSpec:
+    """base without the points of the sphere x0 + y0 S off the cap, where a
+    quotient by S has a pole: contains is False there and sphere_clearance,
+    when base has one, reads 0, as in minus_zero_spheres."""
+    def contains(q: Quaternion) -> bool:
+        sc = slice_decompose(q)
+        return base.contains(q) and (
+            sc.unit is None or not _on_sphere(complex(sc.x, sc.y), x0, y0)[1]
+            or cap.contains_unit(sc.unit))
+
+    clear = None
+    if base.sphere_clearance is not None:
+        def clear(x, y, units):
+            d = np.array(base.sphere_clearance(x, y, units), dtype=float)
+            z = np.broadcast_to(x + 1j * np.asarray(y), d.shape).ravel()
+            rows = np.broadcast_to(units, d.shape + (3,)).reshape(-1, 3)
+            for k in np.flatnonzero(_on_sphere(z, x0, y0)[1]):
+                if not cap.contains_unit(Quaternion(0.0, *rows[k])):
+                    d.flat[k] = 0.0
+            return d
+
+    return DomainSpec(
+        contains=contains, bbox=base.bbox,
+        label="%s \\ (%g + %gS off its cap)" % (base.label, x0, y0),
+        symmetric=base.symmetric, boundary_distance=base.boundary_distance,
+        cap_structure=base.cap_structure, sphere_clearance=clear)
+
+
+def _sphere_quotient(f, x0: float, y0: float, num_stems, label: str,
+                     cap: CapId | None):
+    """The SliceFunction with stem rows num_stems(z, unit) divided by the
+    complex scalar S(z) = (z-x0)^2 + y0^2, on f's domain without the sphere
+    x0 + y0 S off the cap, where the quotient has a pole (all of f's domain
+    when cap is None).
 
     A row on the sphere x0 + y0 S gets the mean of that quotient over a
     circle about its z, of radius a quarter of its clearance and at most
@@ -325,8 +364,7 @@ def _sphere_quotient(f, x0: float, y0: float, num_stems, label: str):
     """
     def quotient(z, unit):
         """(rows on the sphere, num_stems / S(z) off them, unfilled)."""
-        s = (z - x0) ** 2 + y0 ** 2
-        on = np.abs(s) <= _ON_SPHERE * (1.0 + np.abs(z) ** 2)
+        s, on = _on_sphere(z, x0, y0)
         return on, scale_stems(1.0 / np.where(on, 1.0, s), num_stems(z, unit))
 
     def stems(z, unit):
@@ -342,7 +380,9 @@ def _sphere_quotient(f, x0: float, y0: float, num_stems, label: str):
             out[on] = vals.reshape(len(zc), _RING.size, 2, 4).mean(axis=1)
         return out
 
-    return SliceFunction(f.domain, backing="composite", label=label,
+    dom = f.domain if cap is None else _minus_sphere_off_cap(f.domain, x0,
+                                                             y0, cap)
+    return SliceFunction(dom, backing="composite", label=label,
                          slice_many=stems)
 
 
@@ -368,7 +408,7 @@ def factor_out_point(f, p: Quaternion, cap: CapId | None = None):
     return _sphere_quotient(
         f, sc.x, sc.y,
         lambda z, unit: star_stems(conj_binom.stems(z), f.stems(z, unit)),
-        "factor_out_point")
+        "factor_out_point", cap)
 
 
 def factor_out_sphere(f, x0: float, y0: float, cap: CapId | None = None):
@@ -382,7 +422,7 @@ def factor_out_sphere(f, x0: float, y0: float, cap: CapId | None = None):
         cap = cap_component(f.domain, Quaternion(x0) + Quaternion(0, y0, 0, 0))
     if not vanishes_on_cap(f, cap):
         raise NotVanishingOnCap("f does not vanish identically on the cap")
-    return _sphere_quotient(f, x0, y0, f.stems, "factor_out_sphere")
+    return _sphere_quotient(f, x0, y0, f.stems, "factor_out_sphere", cap)
 
 
 def _near_unit(u: Quaternion, tol: float):

@@ -153,6 +153,66 @@ def trace_log(t: float, w: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# distance to the arc cut, from every critical point of the squared distance
+
+def _arc_point(t: float, th: float) -> complex:
+    return complex(-1.0 + math.cos(th), (1.0 - 2.0 * t) * math.sin(th))
+
+
+def _arc_candidates(t: float, w: complex) -> list:
+    """Both tips and every theta in [0, pi] where |arc(theta) - w|^2 is
+    stationary, each root also after a few Newton steps in theta.
+
+    With z = e^{i theta}, 4i z^2 times half the theta-derivative of the
+    squared distance is a quartic in z. np.roots drops its leading zero in
+    the circle case t in {0, 1}.
+    """
+    b = 1.0 - 2.0 * t
+    x0, wi = w.real + 1.0, w.imag
+    e = 1.0 - b * b
+    roots = np.roots([-e, 2.0 * x0 - 2j * b * wi, 0.0,
+                      -2.0 * x0 - 2j * b * wi, e])
+    out = [0.0, math.pi]
+    for z in roots:
+        th = cmath.phase(z)
+        if not 0.0 <= th <= math.pi:
+            continue
+        out.append(th)
+        for _ in range(4):
+            c, s = math.cos(th), math.sin(th)
+            g1 = x0 * s - e * s * c - b * wi * c
+            g2 = x0 * c - e * (c * c - s * s) + b * wi * s
+            if g2 == 0.0:
+                break
+            th = min(max(th - g1 / g2, 0.0), math.pi)
+        out.append(th)
+    return out
+
+
+def arc_distance_ref(t: float, w: complex) -> float:
+    """Distance from w to the half-ellipse arc
+    {(-1 + cos th) + i (1-2t) sin th : th in [0, pi]}: the smallest
+    distance over the tips and the critical points of the quartic."""
+    return min(abs(_arc_point(t, th) - w) for th in _arc_candidates(t, w))
+
+
+def arc_local_minima(t: float, w: complex, h: float = 1e-4) -> list:
+    """Sorted distances of the distinct local minima of |arc(theta) - w|
+    over [0, pi] among the candidates of arc_distance_ref (a candidate is
+    one when no point h away along the arc is nearer)."""
+    found = []
+    for th in sorted(_arc_candidates(t, w)):
+        d = abs(_arc_point(t, th) - w)
+        if any(abs(_arc_point(t, a) - w) < d
+               for a in (th - h, th + h) if 0.0 <= a <= math.pi):
+            continue
+        if found and th - found[-1][0] <= 1e-6:
+            continue
+        found.append((th, d))
+    return sorted(d for _, d in found)
+
+
+# ---------------------------------------------------------------------------
 # small frozen helpers shared by several test modules
 
 def quat_mul(a, b):

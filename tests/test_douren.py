@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st, target
 
 from sliceregular import douren
 from sliceregular.domains import (BOUNDARY_TOL, DomainSpec, _flood_fill,
@@ -16,7 +17,8 @@ from sliceregular.quaternion import (QI, QJ, QK, Quaternion, rotate_unit,
 from sliceregular.slicefn import spherical_data
 from sliceregular.zeros import divides_near, vanishes_on_cap
 
-from oracles import quat_mul, trace_arg, trace_log
+from oracles import (arc_distance_ref, arc_local_minima, quat_mul,
+                     trace_arg, trace_log)
 
 CFG = DourenConfig()
 FX = fixtures(CFG)
@@ -321,6 +323,74 @@ def test_cut_distance_matches_ternary_reference():
     worst = max(abs(cut_distance(t, w) - _ref_cut_distance(t, w))
                 for t, w in pts)
     assert worst <= 1e-12
+
+
+def _near_evolute_points(rng, n):
+    """(t, w) within 1e-12..1e-3 of the evolute of the arc's ellipse, the
+    centre of curvature -1 + e cos^3(th) - i (e/b) sin^3(th) (b = 1 - 2t,
+    e = 1 - b^2) of the arc point at th, where two critical points of the
+    squared distance merge."""
+    out = []
+    for _ in range(n):
+        t, th = rng.uniform(0, 1), rng.uniform(0, math.pi)
+        b = 1.0 - 2.0 * t
+        e = 1.0 - b * b
+        centre = complex(-1.0 + e * math.cos(th) ** 3,
+                         -e / b * math.sin(th) ** 3)
+        off = 10 ** rng.uniform(-12, -3) * np.exp(2j * math.pi * rng.random())
+        out.append((t, centre + off))
+    return out
+
+
+def test_cut_distance_matches_quartic_oracle():
+    # the oracle takes every critical point of the squared distance from a
+    # quartic, so it shares no search with the library
+    rng = np.random.default_rng(76)
+    pts = (_arc_probe_points(rng, 300) + _TIP_ON_CUT
+           + _near_evolute_points(rng, 1000))
+    want = np.array([min(math.hypot(max(w.real + 2.0, 0.0), w.imag),
+                         arc_distance_ref(t, w)) for t, w in pts])
+    got = cut_distance(np.array([t for t, _ in pts]),
+                       np.array([w for _, w in pts]))
+    assert np.abs(got - want).max() <= 1e-12
+    got = np.array([cut_distance(t, w) for t, w in pts])
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@st.composite
+def _by_a_tip_or_cusp(draw):
+    """(t, w) within 1e-12..1e-1 of a tip of the arc or of a cusp of its
+    ellipse's evolute (-1 +- e on the major axis, -1 - i e/b on the minor
+    one); t anywhere or within 1e-6 of 1/2."""
+    t = draw(st.one_of(st.floats(0.0, 1.0),
+                       st.floats(0.5 - 1e-6, 0.5 + 1e-6)))
+    b = 1.0 - 2.0 * t
+    e = 1.0 - b * b
+    centres = [0.0, -2.0, -1.0 + e, -1.0 - e]
+    if b != 0.0:
+        centres.append(complex(-1.0, -e / b))
+    r = 10 ** draw(st.floats(-12.0, -1.0))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    return t, draw(st.sampled_from(centres)) + r * complex(math.cos(phi),
+                                                           math.sin(phi))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.lists(_by_a_tip_or_cusp(), min_size=1, max_size=6))
+def test_arc_distance_where_two_minima_meet(pts):
+    # steered towards inputs whose two nearest local minima of the distance
+    # along the arc are almost equally near, where a search picks wrongly
+    ts = np.array([t for t, _ in pts])
+    ws = np.array([w for _, w in pts])
+    got = douren._arc_distance(ts, ws)
+    gaps = []
+    for (t, w), d in zip(pts, got):
+        assert abs(d - arc_distance_ref(t, w)) <= 1e-12
+        mins = arc_local_minima(t, w)
+        if len(mins) > 1:
+            gaps.append(mins[1] - mins[0])
+    target(-min(gaps, default=1.0), label="gap of the two nearest minima")
+    assert np.array_equal(got, [douren._arc_distance(t, w) for t, w in pts])
 
 
 def test_arg_branch_rejects_points_by_the_arc_tips():

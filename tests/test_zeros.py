@@ -6,7 +6,7 @@ import pytest
 from sliceregular.algebra import (QPoly, binom, real_quadratic, star_product,
                                   sym_eval)
 from sliceregular.douren import DourenConfig, fixtures
-from sliceregular.errors import NotADivisor
+from sliceregular.errors import NotADivisor, NotInDomain
 from sliceregular.quaternion import (QI, QJ, QK, Quaternion, embed_complex,
                                      rotate_unit, slice_decompose)
 from sliceregular.slicefn import SliceFunction
@@ -212,3 +212,18 @@ def test_factor_out_sphere_fills_the_removable_sphere():
             want = FX.g.stems(zz, units)
             assert np.abs(h.stems(zz, units) - want).max() \
                 < 1e-13 * np.abs(want).max()
+
+
+def test_factor_out_point_leaves_out_the_sphere_off_its_cap():
+    # (q - p0) divides shifted_g(p0) on C+ only: on C- the sphere -1 + 2S is
+    # a pole of the quotient, so pbar is not in its domain
+    from sliceregular.domains import slice_clearance
+    quot = factor_out_point(FX.shifted_g(FX.p0), FX.p0, cap=FX.cap_plus)
+    with pytest.raises(NotInDomain):
+        quot(FX.pbar)
+    assert quot(FX.pbar + Quaternion(1e-6)).norm() > 1e5
+    assert np.isfinite(quot(FX.p).norm())
+    z, units = _sphere_rows(FX.cap_minus, 8, 1215)
+    assert np.all(slice_clearance(quot.domain, z, units) == 0.0)
+    z, units = _sphere_rows(FX.cap_plus, 8, 1216)
+    assert np.all(slice_clearance(quot.domain, z, units) > 0.0)
