@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 domain/precondition errors, 3 numeric failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -409,7 +410,12 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 # Entry point
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged. The
+    # handler each verb's set_defaults binds is fixed at the first call, so
+    # a cmd_* function patched later is not the one main runs (no test
+    # patches one).
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output file (default stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json")

@@ -8,6 +8,11 @@ domains the sphere x+yS can meet the domain in several connected components
 Domains are predicate-based: a DomainSpec carries a membership test plus
 optional analytic hooks (signed boundary clearance, a closed-form cap
 structure) that sharpen the generic grid algorithms.
+
+Without a closed-form cap structure, the caps of a sphere are the connected
+components of its in-domain icosphere vertices. They are labelled in numpy
+alone (hooking and pointer jumping), once per sphere; the labels and one
+GridCap per component are kept in the domain's cap cache.
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (CapTooSmall, EmptyInput, NotInDomain, OnRealAxis,
                      ParamOutOfRange)
@@ -28,7 +31,8 @@ BOUNDARY_TOL = 1e-9
 # angle by which BandCap.second_unit keeps its unit inside the cap collar:
 # off the boundary, so a contour on the second unit's slice keeps its radius
 SECOND_UNIT_MARGIN = math.pi / 360.0
-# flood fills each DomainSpec keeps in its LRU _cap_cache
+# spheres each DomainSpec keeps in its LRU _cap_cache; an entry holds the
+# flood fill and the GridCap of every component asked for so far
 CAP_CACHE_SIZE = 4
 # normal 3-vectors BandCap.sample_units draws per block
 _SAMPLE_BLOCK = 256
@@ -65,7 +69,8 @@ class DomainSpec:
     boundary_distance: object = None
     cap_structure: object = None
     sphere_clearance: object = None
-    # flood fills by (x, y, level), least recently used first
+    # (verts, labels, edge, {component: GridCap}) by (x, y, level), least
+    # recently used first
     _cap_cache: dict = field(default_factory=dict, repr=False)
 
     def __contains__(self, q: Quaternion) -> bool:
@@ -219,13 +224,17 @@ class GridCap:
                 and np.linalg.norm(self.verts[i] - v) <= 2.0 * self.edge)
 
     def second_unit(self, unit):
+        # the member farthest from v has the smallest dot product with it;
+        # the members within 1e-12 of that are ranked by exact distance, so
+        # ties fall to the first member the distance rule picks
         v = np.array([unit.x, unit.y, unit.z])
-        d = np.linalg.norm(self._members - v, axis=1)
+        dots = self._members @ v
+        near = np.flatnonzero(dots <= dots.min() + 1e-12)
+        d = np.linalg.norm(self._members[near] - v, axis=1)
         i = int(np.argmax(d))
         if d[i] < 1e-6:
             raise CapTooSmall("cap has no second grid unit")
-        m = self._members[i]
-        return Quaternion(0.0, *m)
+        return Quaternion(0.0, *self._members[near[i]])
 
     def sample_units(self, n, rng=None):
         rng = rng or np.random.default_rng(0)
@@ -317,23 +326,28 @@ def cap_component(dom: DomainSpec, p: Quaternion,
     cache = dom._cap_cache
     fill = cache.pop(key, None)
     if fill is None:
-        fill = _flood_fill(dom, x, y, level)
+        fill = (*_flood_fill(dom, x, y, level), {})
     cache[key] = fill
     if len(cache) > CAP_CACHE_SIZE:
         del cache[next(iter(cache))]
-    verts, labels, edge = fill
+    verts, labels, edge, caps = fill
 
+    # the 12 nearest vertices have the largest dot products with the unit;
+    # nearest first, the first labelled one within two edges names the cap
     v = np.array([sc.unit.x, sc.unit.y, sc.unit.z])
-    d = np.linalg.norm(verts - v, axis=1)
-    order = np.argsort(d)
+    k = min(12, len(verts))
+    near = np.argpartition(-(verts @ v), k - 1)[:k]
+    d = np.linalg.norm(verts[near] - v, axis=1)
     comp = -1
-    for i in order[:12]:
-        if labels[i] >= 0 and d[i] <= 2.0 * edge:
-            comp = labels[i]
+    for j in np.argsort(d, kind="stable"):
+        if labels[near[j]] >= 0 and d[j] <= 2.0 * edge:
+            comp = int(labels[near[j]])
             break
     if comp < 0:
         raise CapTooSmall("no grid vertex of the cap near the representative")
-    return CapId(x, y, int(comp), sc.unit, GridCap(verts, labels, comp, edge))
+    if comp not in caps:
+        caps[comp] = GridCap(verts, labels, comp, edge)
+    return CapId(x, y, comp, sc.unit, caps[comp])
 
 
 def _flood_fill(dom: DomainSpec, x: float, y: float, level: int):
@@ -354,25 +368,30 @@ def _flood_fill(dom: DomainSpec, x: float, y: float, level: int):
                 dtype=float, count=len(verts))
             member &= clear > y * edge_len
 
-    labels = np.full(len(verts), -1, dtype=int)
     idx = np.flatnonzero(member)
     if len(idx) == 0:
         raise CapTooSmall("no grid vertex is inside the domain on this sphere")
-    keep = member[edges[:, 0]] & member[edges[:, 1]]
-    e = edges[keep]
-    remap = np.full(len(verts), -1)
-    remap[idx] = np.arange(len(idx))
-    rows, cols = remap[e[:, 0]], remap[e[:, 1]]
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)),
-                       shape=(len(idx), len(idx)))
-    _, comp = connected_components(graph, directed=False)
+    a, b = edges[member[edges[:, 0]] & member[edges[:, 1]]].T
+    # connected components by hooking and pointer jumping (Shiloach and
+    # Vishkin, J. Algorithms 3, 1982). Every vertex points at a smaller one
+    # or at itself, a root. Each round hooks the larger root of every edge
+    # that joins two roots onto the smaller, then jumps every pointer to its
+    # root. The roots fall in number every round; once no edge joins two,
+    # each vertex points at the smallest vertex index of its component.
+    root = np.arange(len(verts))
+    while True:
+        ra, rb = root[a], root[b]
+        join = ra != rb
+        if not join.any():
+            break
+        ra, rb = ra[join], rb[join]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        jump = root[root]
+        while not np.array_equal(jump, root):
+            root, jump = jump, jump[jump]
     # canonical component numbering: by smallest vertex index
-    firsts = {}
-    for vi, c in zip(idx, comp):
-        firsts.setdefault(c, vi)
-    order = sorted(firsts, key=firsts.get)
-    rename = {c: i for i, c in enumerate(order)}
-    labels[idx] = [rename[c] for c in comp]
+    labels = np.full(len(verts), -1, dtype=int)
+    labels[idx] = np.unique(root[idx], return_inverse=True)[1]
     return verts, labels, edge_len
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -281,3 +282,126 @@ def test_cap_cache_is_bounded_lru(monkeypatch):
     cap_component(dom, QI * 9.0, step)
     cap_component(dom, QI * oldest, step)
     assert len(fills) == len(ys) + 2
+
+
+def _reference_labels(member, edges):
+    # scipy's components of the in-domain subgraph, numbered by their
+    # smallest vertex index; -1 off the domain
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    n = len(member)
+    e = edges[member[edges[:, 0]] & member[edges[:, 1]]]
+    graph = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    labels = np.full(n, -1)
+    first = {}
+    for v in np.flatnonzero(member):
+        labels[v] = first.setdefault(comp[v], len(first))
+    return labels
+
+
+def _mask_domain(mask):
+    # every vertex of the sphere y = 1 whose mask entry is set is in the
+    # domain, with a clearance well above the flood fill's one-edge collar
+    return DomainSpec(contains=lambda q: True, bbox=((-2.0, 2.0),) * 4,
+                      label="mask",
+                      sphere_clearance=lambda x, y, u: np.where(mask, 9.0,
+                                                                -1.0))
+
+
+def test_flood_fill_labels_match_scipy_components():
+    rng = np.random.default_rng(76)
+    counts = []
+    for level in (2, 3, 4, 5):
+        verts, edges = icosphere(level)
+        for density in (0.2, 0.35, 0.5, 0.7, 0.95):
+            mask = rng.random(len(verts)) < density
+            _, labels, _ = domains._flood_fill(_mask_domain(mask), 0.0, 1.0,
+                                               level)
+            assert np.array_equal(labels, _reference_labels(mask, edges))
+            counts.append(labels.max() + 1)
+    assert min(counts) == 1 and max(counts) >= 100
+
+
+def test_flood_fill_labels_match_scipy_on_douren_spheres():
+    from sliceregular.douren import DourenConfig, omega_domain
+    dom = omega_domain(DourenConfig(), closed_form_caps=False)
+    verts, edges = icosphere(5)
+    for x, y in ((-1.0, 2.0), (-1.04, 2.02), (-0.95, 1.97), (-1.08, 2.06),
+                 (-0.92, 2.09)):
+        _, labels, edge = domains._flood_fill(dom, x, y, 5)
+        member = dom.sphere_clearance(x, y, verts) > y * edge
+        assert np.array_equal(labels, _reference_labels(member, edges))
+        assert labels.max() == 1
+
+
+def _patchy_mask():
+    # the level-3 grid (8-degree step) of the sphere 0 + 1S, cut into six
+    # components that cover a third of it
+    verts, _ = icosphere(3)
+    return np.sin(6.0 * verts[:, 0]) + np.cos(5.0 * verts[:, 1]) > 0.3
+
+
+def test_cap_component_picks_the_nearest_labelled_vertex():
+    # reference: the 12 nearest vertices by distance, nearest first; the
+    # first labelled one within two edges names the cap
+    dom = _mask_domain(_patchy_mask())
+    step = 8.0
+    cap_component(dom, QI, step)
+    (verts, labels, edge, _), = dom._cap_cache.values()
+    assert labels.max() == 5
+    rng = np.random.default_rng(77)
+    unlabelled_nearest = too_small = 0
+    for _ in range(300):
+        J = _rand_unit(rng)
+        d = np.linalg.norm(verts - np.array(J.components()[1:]), axis=1)
+        order = np.argsort(d)
+        want = next((int(labels[i]) for i in order[:12]
+                     if labels[i] >= 0 and d[i] <= 2.0 * edge), -1)
+        if want < 0:
+            with pytest.raises(CapTooSmall):
+                cap_component(dom, J, step)
+            too_small += 1
+            continue
+        assert cap_component(dom, J, step).index == want
+        unlabelled_nearest += labels[order[0]] < 0
+    assert unlabelled_nearest > 0 and too_small > 0
+
+
+def test_cap_cache_hits_share_one_grid_cap():
+    mask = _patchy_mask()
+    dom = _mask_domain(mask)
+    verts, _ = icosphere(3)
+    first = cap_component(dom, Quaternion(0.0, *verts[mask][0]), 8.0)
+    (_, labels, _, _), = dom._cap_cache.values()
+    rng = np.random.default_rng(78)
+    by_index = {first.index: first._resolver}
+    for i in rng.choice(np.flatnonzero(mask), 40):
+        cap = cap_component(dom, Quaternion(0.0, *verts[i]), 8.0)
+        assert cap.index == labels[i]
+        assert by_index.setdefault(cap.index, cap._resolver) is cap._resolver
+    assert len(by_index) == 6
+    assert len({id(r) for r in by_index.values()}) == 6
+
+
+def test_grid_second_unit_breaks_ties_by_the_norm_rule():
+    # on the whole icosphere, which is centrally symmetric, the members
+    # farthest from an axis, edge or corner direction of the cube tie; the
+    # pick is the vertex the exact-distance argmax picks, which is not
+    # always the one with the smallest dot product
+    ties = dot_picks_differ = 0
+    for level in (2, 3, 4):
+        verts, edges = icosphere(level)
+        edge = float(np.linalg.norm(verts[edges[0, 0]] - verts[edges[0, 1]]))
+        cap = GridCap(verts, np.zeros(len(verts), dtype=int), 0, edge)
+        for c in itertools.product((-1.0, 0.0, 1.0), repeat=3):
+            if not any(c):
+                continue
+            v = np.array(c) / np.linalg.norm(c)
+            d = np.linalg.norm(verts - v, axis=1)
+            want = int(np.argmax(d))
+            assert (cap.second_unit(Quaternion(0.0, *v)).components()
+                    == (0.0, *verts[want]))
+            ties += np.count_nonzero(d >= d[want] - 1e-12) > 1
+            dot_picks_differ += int(np.argmin(verts @ v)) != want
+    assert ties > 0 and dot_picks_differ > 0

@@ -86,3 +86,14 @@ def test_every_slice_function_built_in_src_has_a_stem_hook():
     bare = sorted(name for name, fn in built.items()
                   if fn._slice_many is None)
     assert not bare, "built without a stem hook: " + ", ".join(bare)
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is imported only inside zeros.zero_scan and the minimum-modulus
+    # check; the package import pays nothing for it
+    code = ("import sys, sliceregular, sliceregular.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
