@@ -237,7 +237,7 @@ def cmd_series(args):
 def cmd_laurent(args):
     data = load_payload(args)
     f = parse_function(data["function"])
-    window = tuple(data.get("window", (-12, 12)))
+    window = data.get("window", [-12, 12])
     s = laurent_coeffs(f, parse_quat(data["point"]), window=window,
                        radius=data.get("radius"),
                        nodes=data.get("nodes", 2048))
@@ -253,7 +253,7 @@ def cmd_singular(args):
     data = load_payload(args)
     f = parse_function(data["function"])
     rep = classify_singularity(f, parse_quat(data["point"]),
-                               window=tuple(data.get("window", (-16, 8))),
+                               window=data.get("window", [-16, 8]),
                                radius=data.get("radius"),
                                nodes=data.get("nodes", 2048))
     return rep.to_json()

@@ -59,7 +59,7 @@ class DomainSpec:
         must agree with `contains`: at most BOUNDARY_TOL wherever contains
         is False. The flood fill makes one call per sphere instead of one
         per grid vertex, a contour along a slice one call for all its
-        nodes, and the singularity probe one call per radius.
+        nodes, and the singularity probe one call for all its radii.
     """
 
     contains: object

@@ -19,6 +19,7 @@ over a 4-dimensional neighborhood, not by the order alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,9 +29,9 @@ from .algebra import (QPoly, QRational, binom, real_quadratic,
 from .domains import (BOUNDARY_TOL, require_slice_points, sigma_tau_omega,
                       slice_clearance)
 from .errors import (MaxTermsExceeded, NoAnnulus, NumericError,
-                     OutsideConvergenceRegion)
-from .quaternion import (ONE, Quaternion, QI, perp_unit, rotate_unit,
-                         slice_decompose, slice_rows)
+                     OutsideConvergenceRegion, ParamOutOfRange)
+from .quaternion import (ONE, Quaternion, QI, perp_unit, slice_decompose,
+                         slice_rows)
 from .slicefn import SliceFunction
 
 _NOISE = 1e-12
@@ -148,10 +149,36 @@ def _pick_radius(f, zc, unit, radius=None):
     raise NoAnnulus("no punctured disk around the center fits the domain")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_laurent_params(window, radius, nodes) -> None:
+    """ParamOutOfRange unless window is two integers lo <= hi, nodes an
+    integer with the window's orders distinct modulo nodes, and radius, if
+    given, finite and > 0."""
+    if not (isinstance(window, (tuple, list)) and len(window) == 2
+            and all(_is_int(n) for n in window) and window[0] <= window[1]):
+        raise ParamOutOfRange("window must be two integers lo <= hi: %r"
+                              % (window,))
+    width = window[1] - window[0] + 1
+    if not (_is_int(nodes) and nodes >= width):
+        raise ParamOutOfRange("nodes must be an integer >= %d, the number of "
+                              "orders in the window: %r" % (width, nodes))
+    if radius is not None and not (
+            isinstance(radius, numbers.Real) and not isinstance(radius, bool)
+            and math.isfinite(radius) and radius > 0):
+        raise ParamOutOfRange("radius must be finite and > 0: %r" % (radius,))
+
+
 def laurent_coeffs(f, p: Quaternion, window=(-12, 12), radius=None,
                    nodes: int = 2048) -> LaurentSeries:
     """Slice-Laurent coefficients of f at p by trapezoid contour quadrature
-    in the slice of p (spectrally accurate for analytic restrictions)."""
+    in the slice of p (spectrally accurate for analytic restrictions).
+
+    With `nodes` samples the orders n and n + nodes alias, so the window may
+    hold at most `nodes` orders."""
+    _check_laurent_params(window, radius, nodes)
     from .algebra import _as_slicefn
     f = _as_slicefn(f)
     sc = slice_decompose(p)
@@ -378,85 +405,127 @@ class SingularityReport:
     kind: str  # removable | nonremovable | pole | essential
     order: float  # 0, pole order, or inf for essential
     series: LaurentSeries
+    # the boundedness probe behind an order-0 verdict: its radii, sup |f|
+    # at each and the growth threshold; None for a pole or an essential
+    # singularity, which are decided from the series alone
+    probe: dict | None = None
 
     def to_json(self):
         return {"point": self.point.to_json(), "kind": self.kind,
                 "order": (self.order if math.isfinite(self.order) else "inf"),
                 "noise_floor": _NOISE,
-                "coeffs": self.series.to_json()["coeffs"]}
+                "coeffs": self.series.to_json()["coeffs"],
+                "probe": self.probe}
 
 
-# the boundedness probe keeps this many random points per radius, from at
-# most _PROBE_DRAWS candidates
+# the boundedness probe: its radii, the random points it keeps per radius
+# from at most _PROBE_DRAWS candidates, and the growth of sup |f| from the
+# largest radius that marks a blow-up
+_PROBE_RADII = (1e-2, 1e-3, 1e-4)
 _PROBE_KEEP = 64
 _PROBE_DRAWS = 400
+_PROBE_GROWTH = 30.0
 
 
-def _near_sphere_points(p: Quaternion, r: float) -> np.ndarray:
-    """The 32 structured probe points of radius r as (32, 4) rows (none for
-    a real p): 8 units at angle r from p's unit, each moved by r^2 along
-    +-x and +-y."""
+def _near_sphere_points(p: Quaternion, radii) -> np.ndarray:
+    """The 32 structured probe points of each radius r as (len(radii), 32, 4)
+    rows (none for a real p): 8 units at angle r from p's unit, each moved
+    by r^2 along +x, +y, -x, -y in that order.
+
+    The units are rotate_unit(u, cos a t1 + sin a t2, r) for a = k pi / 4,
+    with t1 = perp_unit(u) and t2 = u t1, written out on arrays."""
+    radii = np.asarray(radii, dtype=float)
     sc = slice_decompose(p)
     if sc.unit is None:
-        return np.empty((0, 4))
-    t1 = perp_unit(sc.unit)
-    t2 = sc.unit * t1  # second tangent: unit x t1 as quaternions
-    rows = []
-    for k in range(8):
-        a = 2.0 * math.pi * k / 8.0
-        J = rotate_unit(sc.unit, t1 * math.cos(a) + t2 * math.sin(a), r)
-        for dx, dy in ((r * r, 0.0), (0.0, r * r), (-r * r, 0.0),
-                       (0.0, -r * r)):
-            rows.append((Quaternion(sc.x + dx) + J * (sc.y + dy)).components())
-    return np.array(rows)
+        return np.empty((len(radii), 0, 4))
+    u = np.array(sc.unit.components()[1:])
+    t1 = np.array(perp_unit(sc.unit).components()[1:])
+    t2 = np.cross(u, t1)  # u t1 as quaternions: both imaginary, orthogonal
+    angles = [2.0 * math.pi * k / 8.0 for k in range(8)]
+    toward = (np.array([math.cos(a) for a in angles])[:, None] * t1
+              + np.array([math.sin(a) for a in angles])[:, None] * t2)
+    # rotate_unit's tangent: toward, projected off u and normalised
+    d = toward[:, 0] * u[0] + toward[:, 1] * u[1] + toward[:, 2] * u[2]
+    t = toward - d[:, None] * u
+    t = t / np.sqrt(t[:, 0] * t[:, 0] + t[:, 1] * t[:, 1]
+                    + t[:, 2] * t[:, 2])[:, None]
+    c = np.array([math.cos(r) for r in radii])
+    s = np.array([math.sin(r) for r in radii])
+    J = c[:, None, None] * u + s[:, None, None] * t  # (radii, 8, 3)
+    rr = radii * radii
+    zero = np.zeros_like(rr)
+    dx = np.stack([rr, zero, -rr, zero], axis=1)  # (radii, 4)
+    dy = np.stack([zero, rr, zero, -rr], axis=1)
+    out = np.empty((len(radii), 8, 4, 4))
+    out[..., 0] = (sc.x + dx)[:, None, :]
+    out[..., 1:] = J[:, :, None, :] * (sc.y + dy)[:, None, :, None]
+    return out.reshape(len(radii), 32, 4)
 
 
 def _probe_sups(f: SliceFunction, p: Quaternion) -> list:
-    """sup |f| over the probe set of each radius 1e-2, 1e-3, 1e-4.
+    """sup |f| over the probe set of each radius in _PROBE_RADII.
 
     The probe set of radius r: the points p + r v for the first 64
     directions v (normalised draws of one seeded normal stream, at most 400
     per radius) that land in the domain, and the 32 structured near-sphere
     points that do. The stream runs on across radii: a radius starts at the
-    first direction the previous one did not use. Per radius this is one
-    slice_clearance call on the first 64 candidates and the structured
-    points, a second on the rest of the 400 only when fewer than 64 of
-    those passed, and one eval_slice_many call on every accepted point,
-    each row at its own unit.
+    first direction the previous one did not use.
+
+    One slice_clearance call covers the structured points of every radius
+    and the first 64 candidates of each, placed as if every earlier radius
+    had used exactly 64 directions. A radius whose stream starts later
+    (an earlier one needed more) gets its own 64-row call, and a radius
+    with fewer than 64 of its first candidates in the domain a second call
+    on the other 336. One eval_slice_many call then evaluates every kept
+    point of every radius, each row at its own unit.
     """
     rng = np.random.default_rng(2024)
+    radii = np.array(_PROBE_RADII)
+    keep = _PROBE_KEEP
     centre = np.array(p.components())
-    pool = np.empty((0, 4))  # directions drawn and not yet used
+    stream = rng.normal(size=(len(radii) * keep, 4))
 
-    def draw(n):
-        return np.vstack([pool, rng.normal(size=(max(n - len(pool), 0), 4))])
+    def directions(stop):
+        """The stream's first `stop` directions, drawing any still missing."""
+        nonlocal stream
+        if stop > len(stream):
+            stream = np.vstack([stream,
+                                rng.normal(size=(stop - len(stream), 4))])
+        return stream[:stop]
 
     def around(v, r):
         return centre + r * (v / np.linalg.norm(v, axis=1)[:, None])
 
-    sups = []
-    for r in (1e-2, 1e-3, 1e-4):
-        pool = draw(_PROBE_KEEP)
-        rand = around(pool[:_PROBE_KEEP], r)
-        near = _near_sphere_points(p, r)
-        ok = _in_domain(f.domain, np.vstack([rand, near]))
-        ok_rand, ok_near = ok[:_PROBE_KEEP], ok[_PROBE_KEEP:]
-        if ok_rand.sum() < _PROBE_KEEP:
-            pool = draw(_PROBE_DRAWS)
-            more = around(pool[_PROBE_KEEP:_PROBE_DRAWS], r)
+    near = _near_sphere_points(p, radii)
+    guess = around(stream, np.repeat(radii, keep)[:, None])
+    ok = _in_domain(f.domain, np.vstack([guess, near.reshape(-1, 4)]))
+    ok_guess = ok[:len(guess)].reshape(len(radii), keep)
+    ok_near = ok[len(guess):].reshape(near.shape[:2])
+
+    kept = []
+    start = 0  # the first direction of the stream this radius may use
+    for k, r in enumerate(radii):
+        if start == k * keep:
+            rand, ok_rand = guess[start:start + keep], ok_guess[k]
+        else:
+            rand = around(directions(start + keep)[start:], r)
+            ok_rand = _in_domain(f.domain, rand)
+        if ok_rand.sum() < keep:
+            more = around(directions(start + _PROBE_DRAWS)[start + keep:], r)
             rand = np.vstack([rand, more])
             ok_rand = np.concatenate([ok_rand, _in_domain(f.domain, more)])
         # the draws stop at the 64th accepted direction
-        hits = np.flatnonzero(ok_rand)[:_PROBE_KEEP]
-        pool = pool[hits[-1] + 1 if len(hits) == _PROBE_KEEP else len(rand):]
-        kept = np.vstack([rand[hits], near[ok_near]])
-        best = 0.0
-        if len(kept):
-            z, units = slice_rows(kept)
-            vals = f.eval_slice_many(z, units)
-            best = float(np.linalg.norm(vals, axis=1).max())
-        sups.append(best)
-    return sups
+        hits = np.flatnonzero(ok_rand)[:keep]
+        start += hits[-1] + 1 if len(hits) == keep else len(rand)
+        kept.append(np.vstack([rand[hits], near[k][ok_near[k]]]))
+
+    sizes = [len(rows) for rows in kept]
+    norms = np.empty(0)
+    if sum(sizes):
+        z, units = slice_rows(np.vstack(kept))
+        norms = np.linalg.norm(f.eval_slice_many(z, units), axis=1)
+    return [float(part.max()) if len(part) else 0.0
+            for part in np.split(norms, np.cumsum(sizes)[:-1])]
 
 
 def _in_domain(dom, pts: np.ndarray) -> np.ndarray:
@@ -465,7 +534,7 @@ def _in_domain(dom, pts: np.ndarray) -> np.ndarray:
     return slice_clearance(dom, z, units) > BOUNDARY_TOL
 
 
-def _bounded_near(f: SliceFunction, p: Quaternion) -> bool:
+def _bounded_near(f: SliceFunction, p: Quaternion, sups=None) -> bool:
     """Boundedness probe over shrinking 4-dimensional neighborhoods of p.
 
     Random directions alone can miss a blow-up concentrated along the
@@ -473,15 +542,16 @@ def _bounded_near(f: SliceFunction, p: Quaternion) -> bool:
     is exactly how a cap-level obstruction manifests while the in-slice
     restriction stays bounded. Structured near-sphere probes cover it. Per
     radius (1e-2, 1e-3, 1e-4) the probe set is up to 64 random and 32
-    structured points; each radius makes one membership call
-    (slice_clearance) and one evaluation call (eval_slice_many) on arrays,
-    plus a second membership call when fewer than 64 of the first 64
-    random candidates pass (_probe_sups). Growth of sup |f| by more than
-    30x from the largest radius marks a blow-up.
+    structured points; _probe_sups finds the sups of all three radii with
+    one membership call (slice_clearance) and one evaluation call
+    (eval_slice_many) on arrays, plus extra membership calls only where
+    random candidates fall outside the domain. Growth of sup |f| by more
+    than 30x from the largest radius marks a blow-up. `sups`, when given,
+    are those _probe_sups found, and nothing is probed again.
     """
-    sup = _probe_sups(f, p)
-    # growth by 30x per decade marks a genuine blow-up
-    return not (sup[2] > 30.0 * sup[0] + 1e-30 or sup[1] > 30.0 * sup[0])
+    sup = _probe_sups(f, p) if sups is None else sups
+    return not (sup[2] > _PROBE_GROWTH * sup[0] + 1e-30
+                or sup[1] > _PROBE_GROWTH * sup[0])
 
 
 def classify_singularity(f, p: Quaternion, window=(-16, 8), radius=None,
@@ -493,7 +563,7 @@ def classify_singularity(f, p: Quaternion, window=(-16, 8), radius=None,
     (1e-12 x scale) declares an essential singularity. Order 0 is split
     into removable vs nonremovable by the 4D boundedness probe, because on
     non-symmetric domains the restriction can be holomorphic at p while no
-    slice regular extension exists.
+    slice regular extension exists; the report keeps the probe's sups.
     """
     from .algebra import _as_slicefn
     f = _as_slicefn(f)
@@ -510,6 +580,8 @@ def classify_singularity(f, p: Quaternion, window=(-16, 8), radius=None,
         if longest >= 8 and deep[0] <= nmin + 1:
             return SingularityReport(p, "essential", math.inf, series)
         return SingularityReport(p, "pole", float(-deep[0]), series)
-    if _bounded_near(f, p):
-        return SingularityReport(p, "removable", 0.0, series)
-    return SingularityReport(p, "nonremovable", 0.0, series)
+    sups = _probe_sups(f, p)
+    probe = {"radii": list(_PROBE_RADII), "sups": sups,
+             "threshold": _PROBE_GROWTH}
+    kind = "removable" if _bounded_near(f, p, sups) else "nonremovable"
+    return SingularityReport(p, kind, 0.0, series, probe)

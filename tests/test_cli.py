@@ -164,3 +164,42 @@ def test_douren_argument_jump_is_2_pi(capsys):
     assert code == 0
     jump = json.loads(out)["jump"]
     assert abs(jump["argument_jump"] - 2.0 * np.pi) < 1e-6
+
+
+# the C- pole of h = (q - pbar)^{-*} * g at -1 - 2j
+C_MINUS = [-1.0, 0.0, -2.0, 0.0]
+
+
+def test_bad_laurent_parameters_exit_2(capsys):
+    bad = [{"nodes": 0}, {"window": [4, -8]}, {"nodes": 3.5},
+           {"nodes": -5}, {"radius": -0.1}, {"window": [-8]},
+           {"window": [-8, 4], "nodes": 12}, {"window": [-8.0, 4]},
+           {"window": [False, 4]}, {"nodes": True}, {"radius": "0.1"}]
+    for verb in ("singular", "laurent"):
+        for extra in bad:
+            spec = {"function": {"douren": "h"}, "point": C_MINUS, **extra}
+            code = main([verb, "--input", json.dumps(spec)])
+            got = capsys.readouterr()
+            assert code == 2, (verb, extra)
+            assert json.loads(got.err)["error"] == "ParamOutOfRange"
+            assert got.out == "" and "NaN" not in got.err
+
+
+def test_singular_prints_the_probe_margin(capsys):
+    spec = {"function": {"douren": "h"}, "point": [-1.0, -2.0, 0.0, 0.0],
+            "nodes": 512, "window": [-8, 4]}
+    code, out = run(capsys, "singular", "--input", json.dumps(spec))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["kind"] == "nonremovable"
+    probe = rep["probe"]
+    assert probe["radii"] == [1e-2, 1e-3, 1e-4]
+    assert probe["threshold"] == 30.0
+    # at pbar sup |h| grows like 1/r: about 10x per decade
+    s = probe["sups"]
+    assert 9.0 < s[1] / s[0] < 11.0 and 9.0 < s[2] / s[1] < 11.0
+    spec["point"] = C_MINUS
+    code, out = run(capsys, "singular", "--input", json.dumps(spec))
+    assert code == 0
+    assert '"probe": null' in out
+    assert json.loads(out)["kind"] == "pole"

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st, target
 
 from sliceregular import algebra, douren, series
 from sliceregular.algebra import (QPoly, QRational, _as_slicefn,
@@ -139,16 +140,105 @@ def test_probe_makes_array_calls_only(monkeypatch):
     monkeypatch.setattr(SliceFunction, "eval_unchecked", forbidden)
     monkeypatch.setattr(algebra, "star_eval", forbidden)
     assert not series._bounded_near(FX.h, FX.pbar)
-    # every first candidate passes: one membership call per radius
-    assert clear_calls == [96, 96, 96]
-    assert eval_calls == [96, 96, 96]
+    # every first candidate passes: one membership call on the first 64
+    # candidates and the 32 structured points of all three radii, one
+    # evaluation call on all of them
+    assert clear_calls == [288]
+    assert eval_calls == [288]
     clear_calls.clear()
     eval_calls.clear()
     f = SliceFunction.from_exact(QPoly([QK, QJ, 2.0]), ball(0.0, 1.0))
     assert series._bounded_near(f, Quaternion(0.6) + QJ * 0.8)
-    # a second membership call on the other 336 candidates at every radius
-    assert clear_calls == [96, 336] * 3
-    assert len(eval_calls) == 3
+    # a second membership call on the other 336 candidates at every radius;
+    # the first radius runs past 64 directions, so the later two redo their
+    # first 64 candidates
+    assert clear_calls == [288, 336, 64, 336, 64, 336]
+    assert len(eval_calls) == 1
+
+
+def _inside_ball_edge(depth, unit=QJ):
+    """The unit ball's edge polynomial and a point at the given depth inside
+    its boundary (outside for a negative depth)."""
+    f = SliceFunction.from_exact(QPoly([QK, QJ, 2.0]), ball(0.0, 1.0))
+    return f, (Quaternion(0.6) + unit * 0.8) * (1.0 - depth)
+
+
+def test_batched_guess_redone_after_a_long_first_radius(monkeypatch):
+    # 5e-3 inside the ball: radius 1e-2 loses candidates and runs past 64
+    # directions, the smaller radii lose none, so their first 64 candidates
+    # are not those the batched membership call assumed
+    f, p = _inside_ball_edge(5e-3)
+    calls = []
+    clear = series.slice_clearance
+
+    def counted(dom, z, unit):
+        calls.append(len(z))
+        return clear(dom, z, unit)
+
+    monkeypatch.setattr(series, "slice_clearance", counted)
+    got = series._probe_sups(f, p)
+    assert calls == [288, 336, 64, 64]
+    want = _scalar_probe_sups(f, p)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-9 * b
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(st.floats(-5.0, math.log10(3e-2)), st.booleans(),
+       st.sampled_from([QI, QJ, QK, (QI + QJ) * math.sqrt(0.5)]))
+def test_probe_near_a_ball_edge_matches_scalar_loop(log_depth, outside, unit):
+    # steered towards a distance from the boundary equal to a probe radius,
+    # where a radius starts to lose candidates
+    depth = 10.0 ** log_depth
+    target(-min(abs(log_depth - math.log10(r)) for r in series._PROBE_RADII),
+           label="closeness of the distance to a probe radius")
+    f, p = _inside_ball_edge(-depth if outside else depth, unit)
+    got = series._probe_sups(f, p)
+    want = _scalar_probe_sups(f, p)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-9 * b
+
+
+def _rotate_unit_rows(p, r):
+    """The 32 structured probe points of radius r, built with rotate_unit."""
+    sc = slice_decompose(p)
+    t1 = perp_unit(sc.unit)
+    t2 = sc.unit * t1
+    rows = []
+    for k in range(8):
+        a = 2.0 * math.pi * k / 8.0
+        J = rotate_unit(sc.unit, t1 * math.cos(a) + t2 * math.sin(a), r)
+        for dx, dy in ((r * r, 0.0), (0.0, r * r), (-r * r, 0.0),
+                       (0.0, -r * r)):
+            rows.append((Quaternion(sc.x + dx) + J * (sc.y + dy)).components())
+    return np.array(rows)
+
+
+def test_near_sphere_rows_match_rotate_unit():
+    rng = np.random.default_rng(146)
+    units = [QI, -QI, QJ, -QJ, QK, -QK] + [_random_unit(rng)
+                                           for _ in range(20)]
+    radii = (1e-2, 1e-3, 1e-4, 0.3)
+    for unit in units:
+        p = Quaternion(rng.uniform(-1.0, 1.0)) + unit * rng.uniform(0.5, 2.0)
+        got = series._near_sphere_points(p, radii)
+        assert got.shape == (len(radii), 32, 4)
+        for rows, r in zip(got, radii):
+            assert np.abs(rows - _rotate_unit_rows(p, r)).max() <= 1e-15
+    assert series._near_sphere_points(Quaternion(0.7), radii).shape == \
+        (len(radii), 0, 4)
+
+
+def test_report_keeps_the_probe_margin():
+    q = Quaternion(-1.0) + rotate_unit(I, perp_unit(I), 0.3) * 2.0
+    rep = series.classify_singularity(FX.h, q, window=(-8, 4), nodes=512)
+    assert rep.kind == "removable"
+    assert rep.probe["radii"] == [1e-2, 1e-3, 1e-4]
+    assert rep.probe["threshold"] == 30.0
+    sups = rep.probe["sups"]
+    # bounded on a C+ point: the same sup at every radius
+    assert max(sups) <= 1.01 * min(sups)
+    assert rep.to_json()["probe"] == rep.probe
 
 
 def test_h_domain_has_no_clearance_on_its_removed_sphere():
