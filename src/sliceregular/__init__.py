@@ -8,17 +8,15 @@ from .errors import (CapMismatch, CapTooSmall, DegeneratePair,
                      OnRealAxis, OpenContour, OutsideConvergenceRegion,
                      ParamOutOfRange, ProbeOutside,
                      ProbeOutsideValidated, RealTraceMismatch,
-                     SliceRegularError, SymmetrizationZero, UnitsEqual,
-                     ZeroPolynomial)
+                     SliceRegularError, UnitsEqual, ZeroPolynomial)
 from .quaternion import (ONE, QI, QJ, QK, Quaternion, ZERO, embed_complex,
                          perp_unit, project_to_slice, rotate_unit,
                          same_slice, same_sphere, slice_decompose)
 from .domains import (CapId, CassiniRegion, DomainSpec, ball, cap_component,
                       gamma_tube, preset, sigma_tau_omega, whole_space)
-from .algebra import (QPoly, QRational, binom, conj_eval, conjugate, phi,
-                      product_point, qpoly, quotient_point, real_quadratic,
-                      recip_eval, reciprocal, reciprocal_poly, star_eval,
-                      star_product, sym_eval, symmetrize)
+from .algebra import (QPoly, QRational, binom, conj_eval, conjugate, qpoly,
+                      real_quadratic, recip_eval, reciprocal, reciprocal_poly,
+                      star_eval, star_product, sym_eval, symmetrize)
 from .slicefn import (SliceFunction, SphericalData, cullen_derivative,
                       differential, extend_from_slices, intersect_domains,
                       is_differential_singular, is_slice_preserving,
@@ -40,10 +38,9 @@ __all__ = [
     "same_slice", "same_sphere",
     "DomainSpec", "CapId", "CassiniRegion", "ball", "whole_space", "preset",
     "cap_component", "gamma_tube", "sigma_tau_omega",
-    "QPoly", "QRational", "qpoly", "binom", "real_quadratic", "phi",
+    "QPoly", "QRational", "qpoly", "binom", "real_quadratic",
     "star_product", "conjugate", "symmetrize", "reciprocal",
     "reciprocal_poly", "star_eval", "conj_eval", "sym_eval", "recip_eval",
-    "product_point", "quotient_point",
     "SliceFunction", "SphericalData", "spherical_data", "cullen_derivative",
     "extend_from_slices", "differential", "is_differential_singular",
     "slice_regularity_residual", "is_slice_preserving", "intersect_domains",
@@ -58,7 +55,7 @@ __all__ = [
     "douren",
     "SliceRegularError", "NotInDomain", "OnRealAxis",
     "OnBoundary", "OnCut", "EmptyInput", "DomainMismatch", "DegeneratePair",
-    "IdenticallyZero", "ZeroPolynomial", "SymmetrizationZero", "NotADivisor",
+    "IdenticallyZero", "ZeroPolynomial", "NotADivisor",
     "NotVanishingOnCap", "CapMismatch", "CapTooSmall", "UnitsEqual",
     "RealTraceMismatch", "NoAnnulus", "OutsideConvergenceRegion",
     "OpenContour", "ProbeOutside", "ProbeOutsideValidated", "ParamOutOfRange",

@@ -1,18 +1,10 @@
 """The *-algebra of slice regular functions.
 
-Two modes:
-
-* exact polynomial/rational mode: QPoly stores right coefficients
-  (f(q) = a0 + q a1 + ... + q^n an) and the regular product is coefficient
-  convolution; QRational keeps a quaternionic numerator over a
-  slice-preserving real-coefficient denominator, so pointwise division is
-  legitimate.
-
-* pointwise mode (star_eval, conj_eval, sym_eval, recip_eval): the product,
-  conjugate, symmetrization and reciprocal are computed at a single point
-  from spherical data (cap-constant value and derivative) alone. Nothing
-  ever pairs q with its conjugate point q-bar: on a non-symmetric domain
-  q-bar may sit in a different cap, or outside the domain altogether.
+Exact polynomial/rational mode: QPoly stores right coefficients
+(f(q) = a0 + q a1 + ... + q^n an) and the regular product is coefficient
+convolution; QRational keeps a quaternionic numerator over a
+slice-preserving real-coefficient denominator, so pointwise division is
+legitimate.
 
 Along a slice the same calculus runs on stem rows: an (N, 2, 4) array S
 with f(x+yJ) = S[:, 0] + J S[:, 1] on a cap, one row per z = x + iy. On a
@@ -20,7 +12,12 @@ cap, f*g has the stem pair (b1 b2 - c1 c2, b1 c2 + c1 b2), f^c has
 (conj b, conj c), f^s the real pair (|b|^2 - |c|^2, 2 re(b conj c)), and a
 function with real-coefficient values w(z) = u + iv in each slice (a real
 polynomial, its inverse) scales a pair as (u b - v c, v b + u c). These
-row kernels alone are the composites of general slice functions.
+row kernels alone are the composites of general slice functions, and the
+value of f*g, f^c, f^s or f^{-*} at a point (star_eval, conj_eval,
+sym_eval, recip_eval) is the composite's value there: one stem row on the
+point's own slice. Nothing ever pairs q with its conjugate point q-bar: on
+a non-symmetric domain q-bar may sit in a different cap, or outside the
+domain altogether.
 """
 
 from __future__ import annotations
@@ -28,9 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (DegeneratePair, DomainMismatch, IdenticallyZero,
-                     SymmetrizationZero, ZeroPolynomial)
-from .quaternion import (ONE, Quaternion, ZERO, qmul_arr, slice_decompose,
-                         unit_rows)
+                     ZeroPolynomial)
+from .quaternion import ONE, Quaternion, ZERO, qmul_arr, unit_rows
 
 _COEFF_REAL_TOL = 1e-9
 
@@ -198,7 +194,7 @@ class QPoly:
         return QPoly(quot), r0, r1
 
     def sphere_restriction(self, x0: float, y0: float):
-        """Spherical value and derivative of f on the sphere x0 + y0·S.
+        """The value f°_s and derivative f'_s of f on the sphere x0 + y0·S.
 
         On the sphere, f(q) = q·r1 + r0, so f°_s = x0·r1 + r0 and
         f'_s = r1 (exact).
@@ -228,7 +224,7 @@ class QRational:
 
     def __init__(self, num: QPoly, den: QPoly, reduce=True):
         if den.is_zero():
-            raise ZeroDivisionError("zero denominator polynomial")
+            raise ZeroPolynomial("zero denominator polynomial")
         den = QPoly([Quaternion(c) for c in den.real_coeffs()])
         if reduce:
             num, den = _reduce_common_real_factors(num, den)
@@ -318,19 +314,7 @@ def _reduce_common_real_factors(num: QPoly, den: QPoly, tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# The Phi kernel and the regular reciprocal
-
-def phi(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Phi(a,b) = (|a|² conj(a) + conj(b)·a·conj(b)) / ((|a|²-|b|²)² + (2 re(a conj(b)))²)."""
-    a = _as_quat(a)
-    b = _as_quat(b)
-    na2, nb2 = a.norm2(), b.norm2()
-    cross = 2.0 * (a * b.conj()).re()
-    den = (na2 - nb2) ** 2 + cross * cross
-    if den == 0.0:
-        raise DegeneratePair("Phi undefined: |a| = |b| and re(a conj(b)) = 0")
-    return (a.conj() * na2 + b.conj() * a * b.conj()) / den
-
+# The regular reciprocal
 
 def reciprocal_poly(f: QPoly) -> QRational:
     """f^{-*} = (f^s)^{-1} f^c as an exact rational."""
@@ -392,89 +376,8 @@ def recip_stems(S: np.ndarray) -> np.ndarray:
     """The pair of f^{-*} = (f^s)^{-1} f^c."""
     w = _sym_complex(S)
     if not np.all(w):
-        raise DegeneratePair("Phi undefined: |a| = |b| and re(a conj(b)) = 0")
+        raise DegeneratePair("f^s vanishes: |b| = |c| and re(b conj(c)) = 0")
     return scale_stems(1.0 / w, conj_stems(S))
-
-
-# ---------------------------------------------------------------------------
-# Pointwise star-calculus from spherical data
-
-def star_eval(f, g, q: Quaternion) -> Quaternion:
-    """(f*g)(q) from spherical data: f°g° + im(q)² f'g' + im(q)(f°g' + f'g°)."""
-    sc = slice_decompose(q)
-    if sc.unit is None:
-        return f(q) * g(q)
-    fd = f.spherical(q)
-    gd = g.spherical(q)
-    im = q.im()
-    return (fd.value * gd.value + im * im * (fd.derivative * gd.derivative)
-            + im * (fd.value * gd.derivative + fd.derivative * gd.value))
-
-
-def conj_eval(f, q: Quaternion) -> Quaternion:
-    """f^c(q) = conj(f°_s) + im(q)·conj(f'_s)."""
-    sc = slice_decompose(q)
-    if sc.unit is None:
-        return f(q).conj()
-    fd = f.spherical(q)
-    return fd.value.conj() + q.im() * fd.derivative.conj()
-
-
-def sym_eval(f, q: Quaternion) -> Quaternion:
-    """f^s(q) = |f°|² - |im(q) f'|² + 2 im(q) re(f° conj(f'))."""
-    sc = slice_decompose(q)
-    if sc.unit is None:
-        v = f(q)
-        return Quaternion(v.norm2())
-    fd = f.spherical(q)
-    imq = q.im()
-    a = fd.value
-    b = imq * fd.derivative
-    return (Quaternion(a.norm2() - b.norm2())
-            + imq * (2.0 * (a * fd.derivative.conj()).re()))
-
-
-def recip_eval(f, q: Quaternion) -> Quaternion:
-    """f^{-*}(q) via the Phi kernel; plain inverse on the real trace."""
-    sc = slice_decompose(q)
-    if sc.unit is None:
-        return f(q).inverse()
-    fd = f.spherical(q)
-    a = fd.value
-    b = fd.derivative * sc.y
-    return phi(a, b) - sc.unit * phi(b, a)
-
-
-def product_point(f, g, p: Quaternion) -> Quaternion:
-    """(f*g)(p) = f(p)·g~(f(p)^{-1} p f(p)), g~ rebuilt from g's cap data."""
-    fp = f(p)
-    sc = slice_decompose(p)
-    if sc.unit is None:
-        return fp * g(p)
-    if fp.norm() == 0.0:
-        return ZERO
-    moved = fp.inverse() * p * fp
-    return fp * g.spherical(p).reconstruct(moved)
-
-
-def quotient_point(f, g, p: Quaternion) -> Quaternion:
-    """(f^{-*}*g)(p) = f~(T_f(p))^{-1} g~(T_f(p)), T_f(p) = f^c(p)^{-1} p f^c(p)."""
-    sc = slice_decompose(p)
-    if sc.unit is None:
-        fp = f(p)
-        if fp.norm() == 0.0:
-            raise SymmetrizationZero("f vanishes at the real probe")
-        return fp.inverse() * g(p)
-    fc = conj_eval(f, p)
-    if fc.norm() == 0.0:
-        raise SymmetrizationZero("f^c vanishes at the probe")
-    t = fc.inverse() * p * fc
-    fd = f.spherical(p)
-    gd = g.spherical(p)
-    ft = fd.reconstruct(t)
-    if ft.norm() == 0.0:
-        raise SymmetrizationZero("f^s vanishes at the probe")
-    return ft.inverse() * gd.reconstruct(t)
 
 
 # ---------------------------------------------------------------------------
@@ -535,3 +438,26 @@ def _as_slicefn(f):
     if isinstance(f, (QPoly, QRational)):
         return SliceFunction.from_exact(f)
     raise DomainMismatch("cannot interpret %r as a slice function" % (f,))
+
+
+# ---------------------------------------------------------------------------
+# Point values of the composites
+
+def star_eval(f, g, q: Quaternion) -> Quaternion:
+    """(f*g)(q)."""
+    return _as_slicefn(star_product(f, g))(q)
+
+
+def conj_eval(f, q: Quaternion) -> Quaternion:
+    """f^c(q)."""
+    return _as_slicefn(conjugate(f))(q)
+
+
+def sym_eval(f, q: Quaternion) -> Quaternion:
+    """f^s(q)."""
+    return _as_slicefn(symmetrize(f))(q)
+
+
+def recip_eval(f, q: Quaternion) -> Quaternion:
+    """f^{-*}(q); DegeneratePair where f^s(q) = 0."""
+    return _as_slicefn(reciprocal(f))(q)

@@ -25,8 +25,8 @@ import sys
 import numpy as np
 
 from . import douren as douren_mod
-from .algebra import (QPoly, QRational, _as_slicefn, conj_eval, recip_eval,
-                      reciprocal_poly, star_eval, star_product, sym_eval)
+from .algebra import (QPoly, QRational, _as_slicefn, conjugate, reciprocal,
+                      star_product, symmetrize)
 from .errors import (EmptyInput, NumericError, ParamOutOfRange,
                      SliceRegularError)
 from .integral import SymmetricRegion, local_cauchy, volume_cauchy
@@ -46,6 +46,13 @@ def parse_quat(v) -> Quaternion:
     if isinstance(v, (list, tuple)) and len(v) == 4:
         return Quaternion(*[float(c) for c in v])
     raise ParamOutOfRange("a quaternion must be a number or [w,x,y,z]: %r" % (v,))
+
+
+def parse_probes(v) -> list:
+    if not isinstance(v, list):
+        raise ParamOutOfRange("probes must be a list of quaternions: %r"
+                              % (v,))
+    return [parse_quat(p) for p in v]
 
 
 def parse_poly(coeffs) -> QPoly:
@@ -81,7 +88,10 @@ def load_payload(args) -> dict:
     if raw is None:
         raise EmptyInput("this verb needs --input (a path or inline JSON)")
     text = raw if raw.lstrip().startswith(("{", "[")) else open(raw).read()
-    return json.loads(text)
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ParamOutOfRange("the input must be a JSON object: %r" % (data,))
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -128,56 +138,45 @@ def poly_json(p: QPoly):
 def cmd_eval(args):
     data = load_payload(args)
     f = _as_slicefn(parse_function(data["function"]))
-    rows = []
-    for pv in data["probes"]:
-        q = parse_quat(pv)
-        rows.append([q.to_json(), f(q).to_json()])
+    rows = [[q.to_json(), f(q).to_json()]
+            for q in parse_probes(data["probes"])]
     return {"columns": ["probe", "value"], "rows": rows}
 
 
-def _binary_op(args, op_exact, op_point):
+def _operation(args, key, op, binary=False):
+    """op on f (and g): exact coefficients under key when every operand is
+    a polynomial, else the result's value at each probe. A unary verb reads
+    "f" or "function"."""
     data = load_payload(args)
-    f = parse_function(data["f"])
-    g = parse_function(data["g"])
-    if isinstance(f, QPoly) and isinstance(g, QPoly):
-        return {"product": poly_json(op_exact(f, g))}
-    rows = [[parse_quat(p).to_json(),
-             op_point(f, g, parse_quat(p)).to_json()]
-            for p in data.get("probes", [])]
+    if binary:
+        fs = [parse_function(data["f"]), parse_function(data["g"])]
+    else:
+        fs = [parse_function(data["f"] if "f" in data else data["function"])]
+    out = op(*fs)
+    if all(isinstance(f, QPoly) for f in fs):
+        if isinstance(out, QPoly):
+            return {key: poly_json(out)}
+        return {key: {"num": poly_json(out.num), "den": poly_json(out.den)}}
+    out = _as_slicefn(out)
+    rows = [[q.to_json(), out(q).to_json()]
+            for q in parse_probes(data.get("probes", []))]
     return {"columns": ["probe", "value"], "rows": rows}
 
 
 def cmd_star(args):
-    return _binary_op(args, star_product,
-                      lambda f, g, q: star_eval(_as_slicefn(f),
-                                                _as_slicefn(g), q))
-
-
-def _unary_op(args, exact_key, op_exact, op_point):
-    data = load_payload(args)
-    f = parse_function(data["f"] if "f" in data else data["function"])
-    if isinstance(f, QPoly):
-        out = op_exact(f)
-        if isinstance(out, QPoly):
-            return {exact_key: poly_json(out)}
-        return {exact_key: {"num": poly_json(out.num),
-                            "den": poly_json(out.den)}}
-    rows = [[parse_quat(p).to_json(), op_point(f, parse_quat(p)).to_json()]
-            for p in data.get("probes", [])]
-    return {"columns": ["probe", "value"], "rows": rows}
+    return _operation(args, "product", star_product, binary=True)
 
 
 def cmd_conj(args):
-    return _unary_op(args, "conjugate", lambda f: f.conjugate(), conj_eval)
+    return _operation(args, "conjugate", conjugate)
 
 
 def cmd_sym(args):
-    return _unary_op(args, "symmetrization", lambda f: f.symmetrize(),
-                     sym_eval)
+    return _operation(args, "symmetrization", symmetrize)
 
 
 def cmd_recip(args):
-    return _unary_op(args, "reciprocal", reciprocal_poly, recip_eval)
+    return _operation(args, "reciprocal", reciprocal)
 
 
 def cmd_zeros(args):
@@ -200,8 +199,8 @@ def cmd_factor(args):
         out = factor_out_sphere(f, float(x0), float(y0))
     if isinstance(out, QPoly):
         return {"quotient": poly_json(out)}
-    rows = [[parse_quat(p).to_json(), out(parse_quat(p)).to_json()]
-            for p in data.get("probes", [])]
+    rows = [[q.to_json(), out(q).to_json()]
+            for q in parse_probes(data.get("probes", []))]
     return {"columns": ["probe", "quotient_value"], "rows": rows}
 
 
@@ -285,8 +284,7 @@ def cmd_cauchy(args):
     j0 = _parse_unit(data["j0"]) if "j0" in data else None
     nodes = data.get("nodes", 1024)
     rows = []
-    for pv in data["probes"]:
-        q = parse_quat(pv)
+    for q in parse_probes(data["probes"]):
         v = local_cauchy(f, I, U, q, j0=j0, nodes=nodes)
         resid = None
         if f.domain.contains(q):
@@ -302,8 +300,7 @@ def cmd_volume_cauchy(args):
     c, r = data["ball"]
     U = SymmetricRegion.ball(float(c), float(r))
     rows = []
-    for pv in data["probes"]:
-        q = parse_quat(pv)
+    for q in parse_probes(data["probes"]):
         v = volume_cauchy(f, U, q,
                           curve_nodes=data.get("curve_nodes", 256),
                           sphere_nodes=data.get("sphere_nodes", 590))

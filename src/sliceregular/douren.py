@@ -43,7 +43,7 @@ from .domains import (BOUNDARY_TOL, BandCap, DomainSpec, WholeSphereCap,
 from .errors import (BadUnitChoice, OnCut, ParamOutOfRange)
 from .quaternion import (QI, Quaternion, emb_arr, embed_complex, perp_unit,
                          rotate_unit, slice_decompose, unit_imaginary)
-from .slicefn import SliceFunction, minus_zero_spheres
+from .slicefn import SliceFunction, minus_zero_spheres, spherical_data
 
 TWO_PI = 2.0 * math.pi
 
@@ -451,7 +451,7 @@ def fixtures(cfg: DourenConfig | None = None,
     cap_minus = cap_component(dom, pbar)
     phi0_pbar = embed_complex(phi_value(0.0, complex(-1.0, -2.0)), I)
 
-    fplus = f.spherical(p)
+    fplus = spherical_data(f, p)
 
     def shifted_g(p_tilde: Quaternion) -> SliceFunction:
         """g of the three-case factorization example: f minus the value its

@@ -47,10 +47,6 @@ class ZeroPolynomial(IdenticallyZero):
     pass
 
 
-class SymmetrizationZero(SliceRegularError):
-    pass
-
-
 class NotADivisor(SliceRegularError):
     pass
 

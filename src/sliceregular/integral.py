@@ -22,6 +22,7 @@ data agrees with f wherever both are defined.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,8 @@ import numpy as np
 from .algebra import stem_values
 from .domains import (BOUNDARY_TOL, cap_component, require_slice_points,
                       slice_clearance)
-from .errors import (BadUnitChoice, OpenContour, ProbeOutside,
-                     ProbeOutsideValidated)
+from .errors import (BadUnitChoice, OpenContour, ParamOutOfRange,
+                     ProbeOutside, ProbeOutsideValidated)
 from .quaternion import (Quaternion, emb_arr, embed_complex, perp_unit,
                          project_to_slice, qconj_arr, qinv_arr, qmul_arr,
                          rotate_unit, row_units, slice_decompose)
@@ -54,6 +55,15 @@ def _panel_rule(total_nodes: int):
     ts = np.concatenate([(k + _PANEL_X) / panels for k in range(panels)])
     ws = np.tile(_PANEL_W / panels, panels)
     return ts, ws
+
+
+def _check_node_counts(**counts) -> None:
+    """ParamOutOfRange unless every count is an integer >= 1."""
+    for name, n in counts.items():
+        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                and n >= 1):
+            raise ParamOutOfRange("%s must be an integer >= 1: %r"
+                                  % (name, n))
 
 
 def pairwise_sum(a: np.ndarray) -> np.ndarray:
@@ -308,6 +318,7 @@ def local_cauchy(f, I: Quaternion, U: SymmetricRegion, q: Quaternion,
     |unit(q) - j0| < eps (or on the real axis inside U); eps is found by
     bisecting downward from the cap's angular radius.
     """
+    _check_node_counts(nodes=nodes)
     if not U.contains(q):
         raise ProbeOutside("probe %r lies outside U" % (q,))
     contour = U.slice_contour(I, nodes)
@@ -385,6 +396,7 @@ def volume_cauchy(f, U: SymmetricRegion, q: Quaternion,
     Quadrature: product of a Gauss-Legendre rule on the half-circle angle
     (weight r^3 sin^2 θ) and a Gauss×uniform grid on the sphere of units.
     """
+    _check_node_counts(curve_nodes=curve_nodes, sphere_nodes=sphere_nodes)
     if len(U.disks) != 1 or U.disks[0][0].imag != 0.0:
         raise ProbeOutside("the volume formula needs a symmetric ball")
     if not U.contains(q):

@@ -375,8 +375,10 @@ def spherical_coeffs(f, x0: float, y0: float, cap=None, depth: int = 32,
 
     Exact peeling for polynomial/rational backing (negative indices arise
     when the rational denominator vanishes on the sphere); one stem contour
-    about x0 + i y0 at the cap's representative unit otherwise.
+    about x0 + i y0 at the cap's representative unit otherwise; its orders
+    window_bottom .. depth must be distinct modulo nodes.
     """
+    _check_laurent_params((window_bottom, depth), None, nodes)
     if isinstance(f, QPoly):
         return SphericalSeries(x0, y0, _poly_spherical_pairs(f, x0, y0), exact=True)
     if isinstance(f, QRational):

@@ -156,9 +156,6 @@ class SliceFunction:
             out[k, 1] = (d.derivative * zz.imag).components()
         return out
 
-    def spherical(self, p: Quaternion, angular_step: float = 0.5) -> SphericalData:
-        return spherical_data(self, p, angular_step)
-
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -246,7 +243,8 @@ def spherical_data(f: SliceFunction, p: Quaternion,
     sc = slice_decompose(p)
     if sc.unit is None:
         raise OnRealAxis("spherical data is undefined on the real axis")
-    key = (round(sc.x, 14), round(sc.y, 14), sc.unit.components())
+    key = (round(sc.x, 14), round(sc.y, 14), sc.unit.components(),
+           angular_step)
     cached = f._sph_cache.get(key)
     if cached is not None:
         return cached
@@ -254,7 +252,7 @@ def spherical_data(f: SliceFunction, p: Quaternion,
     J = sc.unit
     x, y = sc.x, sc.y
     if f._slice_many is not None:
-        b, c = (Quaternion(*row) for row in f._slice_many(complex(x, y), J)[0])
+        b, c = (Quaternion(*row) for row in f.stems(complex(x, y), J)[0])
     else:
         K = cap.second_unit(J)
         fJ = f.eval_unchecked(p)

@@ -1,14 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sliceregular.algebra import (QPoly, QRational, binom, conj_eval, phi,
-                                  product_point, qpoly, quotient_point,
-                                  real_quadratic, recip_eval,
-                                  reciprocal_poly, star_eval, star_product,
-                                  sym_eval, symmetrize)
-from sliceregular.errors import ZeroPolynomial
-from sliceregular.quaternion import ONE, QI, QJ, QK, Quaternion
-from sliceregular.slicefn import SliceFunction
+from sliceregular import domains, douren, slicefn
+from sliceregular.algebra import (QPoly, QRational, binom, conj_eval,
+                                  conjugate, qpoly, real_quadratic,
+                                  recip_eval, reciprocal, reciprocal_poly,
+                                  star_eval, star_product, sym_eval,
+                                  symmetrize)
+from sliceregular.checks import cap_unit
+from sliceregular.errors import (DegeneratePair, SliceRegularError,
+                                 ZeroPolynomial)
+from sliceregular.quaternion import (ONE, QI, QJ, QK, Quaternion,
+                                     slice_decompose)
+from sliceregular.slicefn import SliceFunction, spherical_data
 
 from oracles import poly_eval_ref
 
@@ -86,12 +94,6 @@ def test_symmetrize_real_and_multiplicative():
         lhs = star_product(a, b).symmetrize()
         rhs = star_product(a.symmetrize(), b.symmetrize())
         assert (lhs - rhs).scale() <= 1e-11 * (lhs.scale() or 1.0)
-
-
-def test_phi_kernel_frozen():
-    # phi(2, 1) = 2/5: the reciprocal kernel at a commuting pair
-    v = phi(Quaternion(2.0), Quaternion(1.0))
-    assert (v - Quaternion(0.4)).norm() < 1e-15
 
 
 def test_reciprocal_identity():
@@ -173,7 +175,10 @@ def test_product_point_conjugation_rule():
         p = rand_quat(rng)
         if p.im_norm() < 1e-3 or a.eval(p).norm() < 1e-2:
             continue
-        got = product_point(fa, fb, p)
+        fp = a.eval(p)
+        rule = fp * b.eval(fp.inverse() * p * fp)
+        got = star_eval(fa, fb, p)
+        assert (got - rule).norm() < 1e-9 * (1.0 + rule.norm())
         assert (got - exact.eval(p)).norm() < 1e-9 * (1.0 + got.norm())
 
 
@@ -189,7 +194,7 @@ def test_quotient_point_round_trip():
         p = rand_quat(rng)
         if p.im_norm() < 1e-3 or b.symmetrize().eval(p).norm() < 1e-1:
             continue
-        got = quotient_point(fb, fp, p)   # b^{-*} * (b*a) at p
+        got = star_eval(reciprocal(fb), fp, p)   # b^{-*} * (b*a) at p
         assert (got - a.eval(p)).norm() < 1e-7 * (1.0 + a.eval(p).norm())
         n += 1
 
@@ -226,3 +231,115 @@ def test_rational_reduction_and_eval():
     q = Quaternion(0.5, 0.5, 0.5, 0.0)
     direct = den.eval(q).inverse() * num.eval(q)
     assert (r.eval(q) - direct).norm() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Point values of the composites against the spherical-data formulas
+
+FX = douren.fixtures()
+_FOLD_RNG = np.random.default_rng(34)
+FOLD_FNS = {"f": FX.f, "g": FX.g, "ell": FX.ell, "m": FX.m, "h": FX.h,
+            "p3": SliceFunction.from_exact(rand_poly(_FOLD_RNG, 3)),
+            "p5": SliceFunction.from_exact(rand_poly(_FOLD_RNG, 5))}
+
+
+def _phi(a, b):
+    """(|a|^2 conj a + conj b a conj b) / ((|a|^2 - |b|^2)^2 + (2 re(a conj b))^2)"""
+    na2, nb2 = a.norm2(), b.norm2()
+    cross = 2.0 * (a * b.conj()).re()
+    den = (na2 - nb2) ** 2 + cross * cross
+    if den == 0.0:
+        raise DegeneratePair("|a| = |b| and re(a conj(b)) = 0")
+    return (a.conj() * na2 + b.conj() * a * b.conj()) / den
+
+
+def _spherical_formula(op, f, g, q):
+    """f*g, f^c, f^s or f^{-*} at q from the spherical data of f and g on
+    q's cap (plain values on the real axis)."""
+    sc = slice_decompose(q)
+    if sc.unit is None:
+        v = f(q)
+        return {"star": lambda: v * g(q), "conj": v.conj,
+                "sym": lambda: Quaternion(v.norm2()), "recip": v.inverse}[op]()
+    fd = spherical_data(f, q)
+    im = q.im()
+    a, d = fd.value, fd.derivative
+    if op == "star":
+        gd = spherical_data(g, q)
+        return (a * gd.value + im * im * (d * gd.derivative)
+                + im * (a * gd.derivative + d * gd.value))
+    if op == "conj":
+        return a.conj() + im * d.conj()
+    if op == "sym":
+        return (Quaternion(a.norm2() - (im * d).norm2())
+                + im * (2.0 * (a * d.conj()).re()))
+    return _phi(a, d * sc.y) - sc.unit * _phi(d * sc.y, a)
+
+
+def _folded(op, f, g, q):
+    if op == "star":
+        return star_eval(f, g, q)
+    return {"conj": conj_eval, "sym": sym_eval, "recip": recip_eval}[op](f, q)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (SliceRegularError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _fold_cases(draw):
+    op = draw(st.sampled_from(["star", "conj", "sym", "recip"]))
+    f, g = draw(st.sampled_from(sorted(FOLD_FNS))), draw(
+        st.sampled_from(sorted(FOLD_FNS)))
+    # off the real axis, the real axis, the pole sphere of h (-1 + 2S) and
+    # a point of the douren cut
+    x, y = draw(st.one_of(
+        st.tuples(st.floats(-3.0, 1.0), st.floats(1e-3, 3.5)),
+        st.tuples(st.floats(-3.0, 1.0), st.just(0.0)),
+        st.sampled_from([(-1.0, 2.0), (-1.0, 3.0)])))
+    v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda v: np.linalg.norm(v) > 0.1)))
+    if draw(st.booleans()):
+        v = np.array([1.0, 0.0, 0.0])   # the slice of the douren cut
+    return op, f, g, Quaternion(x, *(y * v / np.linalg.norm(v)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_fold_cases())
+def test_point_values_match_the_spherical_data_formulas(case):
+    op, f, g, q = case
+    f, g = FOLD_FNS[f], FOLD_FNS[g]
+    want = _outcome(lambda: _spherical_formula(op, f, g, q))
+    got = _outcome(lambda: _folded(op, f, g, q))
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    elif not math.isfinite(want.norm()):
+        # h's domain admits points within rounding of its pole sphere,
+        # where neither path has a finite value
+        assert not math.isfinite(got.norm())
+    else:
+        assert (got - want).norm() <= 1e-12 * want.norm()
+
+
+def test_point_values_resolve_no_cap(monkeypatch):
+    def no_cap(*args, **kwargs):
+        raise AssertionError("cap resolution in a point value")
+
+    rng = np.random.default_rng(35)
+    points = [Quaternion(-1.02) + cap_unit(rng, near) * 2.01
+              for near in (True, False, True, False)]
+    monkeypatch.setattr(slicefn, "cap_component", no_cap)
+    monkeypatch.setattr(domains, "cap_component", no_cap)
+    for fn in (FX.h, FX.ell, FX.g):
+        for q in points:
+            assert fn.domain.contains(q)
+            s = sym_eval(fn, q)
+            assert (s - star_eval(fn, conjugate(fn), q)).norm() <= 1e-12 * (
+                1.0 + s.norm())
+            assert (conj_eval(fn, q) - conjugate(fn)(q)).norm() == 0.0
+            assert (recip_eval(fn, q) - reciprocal(fn)(q)).norm() == 0.0
+            one = star_eval(reciprocal(fn), fn, q)
+            assert (one - ONE).norm() <= 1e-12

@@ -203,3 +203,104 @@ def test_singular_prints_the_probe_margin(capsys):
     assert code == 0
     assert '"probe": null' in out
     assert json.loads(out)["kind"] == "pole"
+
+
+RATIONAL = {"rational": {"num": [[0, 1, 0, 0], [1, 0, 0, 0]],
+                         "den": [5, 2, 1]}}
+OP_PROBES = [[-0.5, 0.0, 1.5, 0.0], [0.3, 0.4, 0.1, 0.9],
+             [-1.02, 0.3, 1.7, -0.9], [0.7, 0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("spec", [{"douren": "h"}, {"douren": "ell"},
+                                  RATIONAL], ids=["h", "ell", "rational"])
+@pytest.mark.parametrize("verb", ["star", "conj", "sym", "recip"])
+def test_operation_verbs_print_the_library_values(verb, spec, capsys):
+    from sliceregular.algebra import (_as_slicefn, conjugate, reciprocal,
+                                      symmetrize)
+    from sliceregular.cli import parse_function
+    g = {"poly": [[0, 0, 1, 0], [1, 0, 0, 0]]}
+    payload = {"f": spec, "probes": OP_PROBES}
+    if verb == "star":
+        payload["g"] = g
+    code, out = run(capsys, verb, "--input", json.dumps(payload))
+    assert code == 0
+    f = parse_function(spec)
+    want = _as_slicefn({
+        "star": lambda: star_product(f, parse_function(g)),
+        "conj": lambda: conjugate(f), "sym": lambda: symmetrize(f),
+        "recip": lambda: reciprocal(f)}[verb]())
+    rows = json.loads(out)["rows"]
+    assert [row[0] for row in rows] == OP_PROBES
+    for probe, value in rows:
+        ref = np.array(want(Quaternion(*probe)).components())
+        assert np.abs(np.array(value) - ref).max() <= 1e-12 * max(
+            1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("verb, key", [("conj", "conjugate"),
+                                       ("sym", "symmetrization"),
+                                       ("recip", "reciprocal")])
+def test_unary_verbs_on_a_polynomial_print_coefficients(verb, key, capsys):
+    spec = {"function": {"poly": [[0, -1, 0, 0], [1, 0, 0, 0]]},
+            "probes": [[0.5, 0.0, 0.0, 0.0]]}
+    code, out = run(capsys, verb, "--input", json.dumps(spec))
+    assert code == 0
+    rep = json.loads(out)
+    assert list(rep) == [key]
+    if verb == "recip":
+        assert set(rep[key]) == {"num", "den"}
+    else:
+        assert "coeffs" in rep[key]
+
+
+@pytest.mark.parametrize("verb", ["star", "conj", "sym", "recip"])
+def test_operation_verbs_at_the_pole_sphere_exit_2(verb, capsys):
+    payload = {"f": {"douren": "h"}, "g": {"douren": "g"},
+               "probes": [[-1.0, -2.0, 0.0, 0.0]]}
+    code = main([verb, "--input", json.dumps(payload)])
+    got = capsys.readouterr()
+    assert code == 2
+    assert json.loads(got.err)["error"] == "NotInDomain"
+    assert got.out == ""
+
+
+def test_malformed_payloads_exit_2(capsys):
+    poly = {"poly": [[1, 0, 0, 0], [0, 1, 0, 0]]}
+    cases = [
+        (["eval"], [1, 2], "ParamOutOfRange"),
+        (["conj"], [1, 2], "ParamOutOfRange"),
+        (["eval"], {"function": poly, "probes": 5}, "ParamOutOfRange"),
+        (["conj"], {"f": {"douren": "ell"}, "probes": 5}, "ParamOutOfRange"),
+        (["eval"], {"function": {"rational": {"num": [1], "den": []}},
+                    "probes": []}, "ZeroPolynomial"),
+        (["recip"], {"f": {"rational": {"num": [1], "den": [0]}}},
+         "ZeroPolynomial"),
+    ]
+    for verb, payload, error in cases:
+        code = main(verb + ["--input", json.dumps(payload)])
+        got = capsys.readouterr()
+        assert code == 2, (verb, payload)
+        assert json.loads(got.err)["error"] == error, (verb, payload)
+        assert got.out == ""
+
+
+def test_bad_node_counts_exit_2(capsys):
+    series_spec = {"function": {"douren": "g"}, "sphere": [-1.0, 2.0]}
+    ball = {"function": {"poly": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+            "probes": [[0.1, 0.2, 0.0, 0.0]]}
+    cases = [("series", series_spec, extra) for extra in (
+        {"nodes": 0}, {"nodes": 8}, {"nodes": -3}, {"nodes": 3.5},
+        {"nodes": True}, {"depth": -9}, {"window_bottom": 1.5})]
+    cases += [("cauchy", dict(ball, region={"ball": [0.0, 1.5]}), extra)
+              for extra in ({"nodes": 0}, {"nodes": -3}, {"nodes": 2.5},
+                            {"nodes": False})]
+    cases += [("volume-cauchy", dict(ball, ball=[0.0, 1.0]), extra)
+              for extra in ({"curve_nodes": 0}, {"sphere_nodes": -5},
+                            {"sphere_nodes": 0}, {"curve_nodes": 1.5},
+                            {"sphere_nodes": True})]
+    for verb, spec, extra in cases:
+        code = main([verb, "--input", json.dumps({**spec, **extra})])
+        got = capsys.readouterr()
+        assert code == 2, (verb, extra)
+        assert json.loads(got.err)["error"] == "ParamOutOfRange"
+        assert got.out == "" and "NaN" not in got.err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sliceregular.algebra import QPoly, binom, star_product
-from sliceregular.domains import ball
+from sliceregular.domains import DomainSpec, ball
 from sliceregular.errors import OnRealAxis, RealTraceMismatch, UnitsEqual
 from sliceregular.quaternion import (ONE, QI, QJ, QK, Quaternion,
                                      embed_complex, rotate_unit,
@@ -54,6 +54,19 @@ def test_spherical_data_reconstructs():
         q = Quaternion(0.2) + J * 0.9
         d = spherical_data(f, q)
         assert (d.reconstruct(q) - f(q)).norm() < 1e-11 * (1 + f(q).norm())
+
+
+def test_spherical_data_caches_each_angular_step():
+    # a domain with no cap structure: its caps are grid flood fills, finer
+    # at the smaller step
+    dom = DomainSpec(contains=lambda q: q.norm() < 10.0,
+                     bbox=((-10.0, 10.0),) * 4, label="ball, grid caps")
+    f = SliceFunction.from_exact(QPoly([QI, 1.0]), dom)
+    p = Quaternion(0.2) + QJ * 1.3
+    coarse = spherical_data(f, p, 8.0)
+    fine = spherical_data(f, p, 2.0)
+    assert fine.cap._resolver.edge < 0.5 * coarse.cap._resolver.edge
+    assert spherical_data(f, p, 8.0) is coarse
 
 
 def test_spherical_data_real_axis_rejected():
