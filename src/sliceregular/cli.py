@@ -27,7 +27,8 @@ import numpy as np
 from . import douren as douren_mod
 from .algebra import (QPoly, QRational, _as_slicefn, conjugate, reciprocal,
                       star_product, symmetrize)
-from .errors import (EmptyInput, NumericError, ParamOutOfRange,
+from .domains import BOUNDARY_TOL, cap_component, slice_clearance
+from .errors import (EmptyInput, NotInDomain, NumericError, ParamOutOfRange,
                      SliceRegularError)
 from .integral import SymmetricRegion, local_cauchy, volume_cauchy
 from .quaternion import Quaternion
@@ -59,6 +60,10 @@ def parse_poly(coeffs) -> QPoly:
     return QPoly([parse_quat(c) for c in coeffs])
 
 
+# the douren fixtures a function spec may name
+DOUREN_FUNCTIONS = ("f", "g", "h", "ell", "m", "D")
+
+
 def parse_function(spec):
     if isinstance(spec, list):
         return parse_poly(spec)
@@ -74,12 +79,12 @@ def parse_function(spec):
         # non-real denominator: interpret as the star quotient den^{-*} * num
         return QRational(star_product(den.conjugate(), num), den.symmetrize())
     if "douren" in spec:
-        fx = douren_mod.fixtures()
         name = spec["douren"]
-        try:
-            return getattr(fx, name)
-        except AttributeError:
-            raise ParamOutOfRange("unknown fixture %r" % name)
+        if name not in DOUREN_FUNCTIONS:
+            raise ParamOutOfRange("unknown douren function %r: one of %s"
+                                  % (name, ", ".join(DOUREN_FUNCTIONS)))
+        # fixture members are built on first access: only this one is
+        return getattr(douren_mod.fixtures(), name)
     raise ParamOutOfRange("function spec needs 'poly', 'rational' or 'douren'")
 
 
@@ -219,7 +224,6 @@ def cmd_series(args):
     x0, y0 = [float(v) for v in data["sphere"]]
     cap = None
     if "cap_point" in data:
-        from .domains import cap_component
         fn = _as_slicefn(f)
         cap = cap_component(fn.domain, parse_quat(data["cap_point"]))
     s = spherical_coeffs(f, x0, y0, cap=cap,
@@ -286,9 +290,12 @@ def cmd_cauchy(args):
     rows = []
     for q in parse_probes(data["probes"]):
         v = local_cauchy(f, I, U, q, j0=j0, nodes=nodes)
-        resid = None
-        if f.domain.contains(q):
+        # one membership test: f(q) runs it and raises NotInDomain
+        try:
             d = f(q)
+        except NotInDomain:
+            resid = None
+        else:
             resid = (v - d).norm() / max(d.norm(), 1.0)
         rows.append([q.to_json(), v.to_json(), resid])
     return {"columns": ["probe", "value", "residual"], "rows": rows}
@@ -363,16 +370,14 @@ def _douren_grid(fx, grid: str):
     I = fx.cfg.base_unit
     xs = np.linspace(-4.0, 2.0, nx)
     ys = np.linspace(0.05, 4.0, ny)
-    rows = []
-    for y in ys:
-        line = []
-        for x in xs:
-            q = Quaternion(float(x)) + I * float(y)
-            if fx.domain.contains(q):
-                line.append(fx.f(q).to_json())
-            else:
-                line.append(None)
-        rows.append(line)
+    # one membership call and one evaluation call for the whole grid, row
+    # by row in y
+    z = (xs[None, :] + 1j * ys[:, None]).ravel()
+    inside = slice_clearance(fx.domain, z, I) > BOUNDARY_TOL
+    vals = np.zeros((z.size, 4))
+    vals[inside] = fx.f.eval_slice_many(z[inside], I)
+    cells = [v.tolist() if ok else None for v, ok in zip(vals, inside)]
+    rows = [cells[k * nx:(k + 1) * nx] for k in range(ny)]
     return {"x": xs.tolist(), "y": ys.tolist(), "unit": I.to_json(),
             "values": rows}
 

@@ -34,16 +34,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import binom, real_quadratic, scale_stems, star_stems
-from .domains import (BOUNDARY_TOL, BandCap, DomainSpec, WholeSphereCap,
-                      cap_component)
+from .domains import (BOUNDARY_TOL, BandCap, CapId, DomainSpec,
+                      WholeSphereCap, cap_component)
 from .errors import (BadUnitChoice, OnCut, ParamOutOfRange)
 from .quaternion import (QI, Quaternion, emb_arr, embed_complex, perp_unit,
                          rotate_unit, slice_decompose, unit_imaginary)
-from .slicefn import SliceFunction, minus_zero_spheres, spherical_data
+from .slicefn import (SliceFunction, SphericalData, minus_zero_spheres,
+                      spherical_data)
 
 TWO_PI = 2.0 * math.pi
 
@@ -348,120 +350,169 @@ def _f_slice_many(cfg: DourenConfig, unit, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Fixtures
 
-@dataclass
 class DourenFixtures:
-    cfg: DourenConfig
-    domain: DomainSpec
-    f: SliceFunction
-    D: SliceFunction
-    g: SliceFunction
-    ell: SliceFunction
-    m: SliceFunction
-    h: SliceFunction
-    p: Quaternion
-    pbar: Quaternion
-    p0: Quaternion
-    p1: Quaternion
-    I0: Quaternion
-    I1: Quaternion
-    cap_plus: object
-    cap_minus: object
-    phi0_pbar: Quaternion
-    shifted_g: object  # p_tilde -> SliceFunction (f minus its C+ cap value at p_tilde)
+    """The functions, points and caps of the worked example.
 
+    cfg, p, pbar, p0 and I0 are set at construction, where a bad I0 raises
+    BadUnitChoice. Every other member is built on first access and kept, so
+    a caller pays only for what it reads: the functions f, g, D, ell, m and
+    h, the domain, p1 and I1 (one evaluation of g at p0), the caps cap_plus
+    and cap_minus, and phi0_pbar. shifted_g(p_tilde) reads the C+ spherical
+    data of f, built on its first call.
 
-def fixtures(cfg: DourenConfig | None = None,
-             I0: Quaternion | None = None) -> DourenFixtures:
-    cfg = cfg or DourenConfig()
-    I = cfg.base_unit
-    dom = omega_domain(cfg)
+    Every fixture function is its stem hook: a point value is one stem row,
+    and a checked call tests membership in `require`, so no second cut test
+    runs.
+    """
 
-    # every fixture is its stem hook: a point value is one stem row, and a
-    # checked call tests membership in `require`, so no second cut test runs
-    f = SliceFunction(dom, backing="closed-form", label="douren-f",
-                      slice_many=lambda z, unit: _f_slice_many(cfg, unit, z))
+    def __init__(self, cfg: DourenConfig, I0: Quaternion | None = None):
+        I = cfg.base_unit
+        if I0 is None:
+            I0 = rotate_unit(I, perp_unit(I), 2.0 * math.pi / 5.0)
+        else:
+            I0 = unit_imaginary(I0)
+        if (I0 - I).norm() <= 0.5:
+            raise BadUnitChoice("need |I0 - I| > 1/2")
+        if (I0 + I).norm() <= 1e-9:
+            raise BadUnitChoice("I0 = -I is excluded (m would coincide with ell)")
+        self.cfg = cfg
+        self.I0 = I0
+        self.p = Quaternion(-1.0) + I * 2.0
+        self.pbar = Quaternion(-1.0) - I * 2.0
+        self.p0 = Quaternion(-1.0) + I0 * 2.0
 
-    def f_plus(v: Quaternion, label: str) -> SliceFunction:
+    def _f_plus(self, v: Quaternion, label: str) -> SliceFunction:
         """f + v for a constant v: the stems shift their value rows."""
+        cfg = self.cfg
         shift = np.array([v.components(), (0.0,) * 4])
-        return SliceFunction(dom, backing="closed-form", label=label,
+        return SliceFunction(self.domain, backing="closed-form", label=label,
                              slice_many=lambda z, unit:
                                  _f_slice_many(cfg, unit, z) + shift)
 
-    p = Quaternion(-1.0) + I * 2.0
-    pbar = Quaternion(-1.0) - I * 2.0
+    @cached_property
+    def domain(self) -> DomainSpec:
+        return omega_domain(self.cfg)
 
-    # g = f - f(p) = f + pi*I
-    g = f_plus(I * math.pi, "douren-g")
+    @cached_property
+    def f(self) -> SliceFunction:
+        cfg = self.cfg
+        return SliceFunction(self.domain, backing="closed-form",
+                             label="douren-f", slice_many=lambda z, unit:
+                                 _f_slice_many(cfg, unit, z))
 
-    # the locally-slice difference D = f_1 - f_0 on the open solid torus
-    def torus_contains(q):
-        sc = slice_decompose(q)
-        return (sc.x + 1.0) ** 2 + (sc.y - 2.0) ** 2 < (1.0 - BOUNDARY_TOL) ** 2
+    @cached_property
+    def g(self) -> SliceFunction:
+        """g = f - f(p) = f + pi*I."""
+        return self._f_plus(self.cfg.base_unit * math.pi, "douren-g")
 
-    torus = DomainSpec(contains=torus_contains,
-                       bbox=((-2.0, 0.0), (-3.0, 3.0), (-3.0, 3.0), (-3.0, 3.0)),
-                       label="douren-torus", symmetric=True,
-                       boundary_distance=lambda q: 1.0 - math.hypot(
-                           slice_decompose(q).x + 1.0,
-                           slice_decompose(q).y - 2.0))
-    # the stems of f_1 and f_0 are those of f on the caps of -I and I,
-    # where T = 1 and T = 0
-    D = SliceFunction(torus, backing="closed-form", label="douren-D",
-                      slice_many=lambda z, unit: _f_slice_many(cfg, -I, z)
-                      - _f_slice_many(cfg, I, z))
+    @cached_property
+    def D(self) -> SliceFunction:
+        """The locally-slice difference D = f_1 - f_0 on the open solid
+        torus: the stems of f_1 and f_0 are those of f on the caps of -I
+        and I, where T = 1 and T = 0."""
+        cfg, I = self.cfg, self.cfg.base_unit
 
-    # ell = (q - pbar) * g, via the pointwise star with the global binomial
-    bfn = SliceFunction.from_exact(binom(pbar))
+        def torus_contains(q):
+            sc = slice_decompose(q)
+            return ((sc.x + 1.0) ** 2 + (sc.y - 2.0) ** 2
+                    < (1.0 - BOUNDARY_TOL) ** 2)
 
-    def ell_stems(z, unit):
-        return star_stems(bfn.stems(z, unit), g.stems(z, unit))
+        torus = DomainSpec(contains=torus_contains,
+                           bbox=((-2.0, 0.0), (-3.0, 3.0), (-3.0, 3.0),
+                                 (-3.0, 3.0)),
+                           label="douren-torus", symmetric=True,
+                           boundary_distance=lambda q: 1.0 - math.hypot(
+                               slice_decompose(q).x + 1.0,
+                               slice_decompose(q).y - 2.0))
+        return SliceFunction(torus, backing="closed-form", label="douren-D",
+                             slice_many=lambda z, unit:
+                                 _f_slice_many(cfg, -I, z)
+                                 - _f_slice_many(cfg, I, z))
 
-    ell = SliceFunction(dom, backing="composite", label="douren-ell",
-                        slice_many=ell_stems)
+    @cached_property
+    def _ell_stems(self):
+        """The stem hook of ell = (q - pbar) * g: the pointwise star with the
+        global binomial."""
+        bfn = SliceFunction.from_exact(binom(self.pbar))
+        g = self.g
+        return lambda z, unit: star_stems(bfn.stems(z, unit), g.stems(z, unit))
 
-    # m = g * (q - p1) with p1 = g(p0)^{-1} p0 g(p0)
-    if I0 is None:
-        I0 = rotate_unit(I, perp_unit(I), 2.0 * math.pi / 5.0)
-    else:
-        I0 = unit_imaginary(I0)
-    if (I0 - I).norm() <= 0.5:
-        raise BadUnitChoice("need |I0 - I| > 1/2")
-    if (I0 + I).norm() <= 1e-9:
-        raise BadUnitChoice("I0 = -I is excluded (m would coincide with ell)")
-    p0 = Quaternion(-1.0) + I0 * 2.0
-    gp0 = g(p0)
-    p1 = gp0.inverse() * p0 * gp0
-    I1 = gp0.inverse() * I0 * gp0
-    b1fn = SliceFunction.from_exact(binom(p1))
-    m = SliceFunction(dom, backing="composite", label="douren-m",
-                      slice_many=lambda z, unit: star_stems(
-                          g.stems(z, unit), b1fn.stems(z, unit)))
+    @cached_property
+    def ell(self) -> SliceFunction:
+        return SliceFunction(self.domain, backing="composite",
+                             label="douren-ell", slice_many=self._ell_stems)
 
-    # h = (q-p)^{-*} * g = (q^2+2q+5)^{-1} (q-pbar) * g, off the sphere -1+2S
-    quad = real_quadratic(-1.0, 2.0)
-    hdom = minus_zero_spheres(dom, quad, "(-1+2S)")
-    quad_c = quad.real_coeffs()[::-1]
-    h = SliceFunction(hdom, backing="composite", label="douren-h",
-                      slice_many=lambda z, unit: scale_stems(
-                          1.0 / np.polyval(quad_c, np.atleast_1d(z)),
-                          ell_stems(z, unit)))
+    @cached_property
+    def _g_p0(self) -> Quaternion:
+        return self.g(self.p0)
 
-    cap_plus = cap_component(dom, p)
-    cap_minus = cap_component(dom, pbar)
-    phi0_pbar = embed_complex(phi_value(0.0, complex(-1.0, -2.0)), I)
+    @cached_property
+    def p1(self) -> Quaternion:
+        """g(p0)^{-1} p0 g(p0)."""
+        return self._g_p0.inverse() * self.p0 * self._g_p0
 
-    fplus = spherical_data(f, p)
+    @cached_property
+    def I1(self) -> Quaternion:
+        """g(p0)^{-1} I0 g(p0)."""
+        return self._g_p0.inverse() * self.I0 * self._g_p0
 
-    def shifted_g(p_tilde: Quaternion) -> SliceFunction:
+    @cached_property
+    def m(self) -> SliceFunction:
+        """m = g * (q - p1)."""
+        g = self.g
+        b1fn = SliceFunction.from_exact(binom(self.p1))
+        return SliceFunction(self.domain, backing="composite",
+                             label="douren-m", slice_many=lambda z, unit:
+                                 star_stems(g.stems(z, unit),
+                                            b1fn.stems(z, unit)))
+
+    @cached_property
+    def h(self) -> SliceFunction:
+        """h = (q-p)^{-*} * g = (q^2+2q+5)^{-1} (q-pbar) * g, off the sphere
+        -1+2S."""
+        quad = real_quadratic(-1.0, 2.0)
+        hdom = minus_zero_spheres(self.domain, quad, "(-1+2S)")
+        quad_c = quad.real_coeffs()[::-1]
+        ell_stems = self._ell_stems
+        return SliceFunction(hdom, backing="composite", label="douren-h",
+                             slice_many=lambda z, unit: scale_stems(
+                                 1.0 / np.polyval(quad_c, np.atleast_1d(z)),
+                                 ell_stems(z, unit)))
+
+    @cached_property
+    def cap_plus(self) -> CapId:
+        return cap_component(self.domain, self.p)
+
+    @cached_property
+    def cap_minus(self) -> CapId:
+        return cap_component(self.domain, self.pbar)
+
+    @cached_property
+    def phi0_pbar(self) -> Quaternion:
+        return embed_complex(phi_value(0.0, complex(-1.0, -2.0)),
+                             self.cfg.base_unit)
+
+    @cached_property
+    def _f_cap_plus_data(self) -> SphericalData:
+        return spherical_data(self.f, self.p)
+
+    def shifted_g(self, p_tilde: Quaternion) -> SliceFunction:
         """g of the three-case factorization example: f minus the value its
         C+ cap data extends to at p_tilde (a point of -1 + 2S)."""
         sc = slice_decompose(p_tilde)
         if abs(sc.x + 1.0) > 1e-9 or abs(sc.y - 2.0) > 1e-9:
             raise ParamOutOfRange("p_tilde must lie on the sphere -1 + 2S")
-        return f_plus(-fplus.reconstruct(p_tilde), "douren-shifted-g")
+        return self._f_plus(-self._f_cap_plus_data.reconstruct(p_tilde),
+                            "douren-shifted-g")
 
-    return DourenFixtures(cfg=cfg, domain=dom, f=f, D=D, g=g, ell=ell, m=m,
-                          h=h, p=p, pbar=pbar, p0=p0, p1=p1, I0=I0, I1=I1,
-                          cap_plus=cap_plus, cap_minus=cap_minus,
-                          phi0_pbar=phi0_pbar, shifted_g=shifted_g)
+
+def fixtures(cfg: DourenConfig | None = None,
+             I0: Quaternion | None = None) -> DourenFixtures:
+    """A fresh DourenFixtures for cfg (the default DourenConfig when None)
+    and I0, the unit of p0 on the far cap C- (a default one at 2 pi/5 from
+    the base unit when None). Only cfg, p, pbar, p0 and I0 are built here;
+    every other member is built on first access. Each call builds a new
+    object, with functions whose spherical-data caches start empty. The
+    CLI's function spec {"douren": name} reads one of f, g, h, ell, m and
+    D, and builds that member alone."""
+    return DourenFixtures(cfg or DourenConfig(), I0)

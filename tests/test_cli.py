@@ -304,3 +304,79 @@ def test_bad_node_counts_exit_2(capsys):
         assert code == 2, (verb, extra)
         assert json.loads(got.err)["error"] == "ParamOutOfRange"
         assert got.out == "" and "NaN" not in got.err
+
+
+def _no_caps(*args, **kwargs):
+    raise AssertionError("a cap was resolved")
+
+
+def test_douren_eval_resolves_no_cap(monkeypatch, capsys):
+    # fixture members are built on first access: evaluating h at a C+ point
+    # builds h and its domain, and no cap
+    from sliceregular import douren
+    from sliceregular.quaternion import rotate_unit
+    monkeypatch.setattr(douren, "cap_component", _no_caps)
+    q = Quaternion(-0.9) + rotate_unit(QI, QJ, 0.2) * 2.05
+    spec = {"function": {"douren": "h"}, "probes": [q.to_json()]}
+    code, out = run(capsys, "eval", "--input", json.dumps(spec))
+    assert code == 0
+    want = douren.fixtures().h(q)
+    assert np.allclose(json.loads(out)["rows"][0][1], want.components(),
+                       rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["p", "cap_plus", "cap_minus", "cfg",
+                                  "shifted_g", "zz"])
+def test_douren_spec_names_only_its_functions(name, monkeypatch, capsys):
+    from sliceregular import douren
+    monkeypatch.setattr(douren, "cap_component", _no_caps)
+    spec = {"function": {"douren": name}, "probes": [[0.5, 0.0, 0.0, 0.0]]}
+    code = main(["eval", "--input", json.dumps(spec)])
+    got = capsys.readouterr()
+    assert code == 2
+    assert json.loads(got.err)["error"] == "ParamOutOfRange"
+    assert got.out == ""
+
+
+def test_cauchy_prints_null_residual_off_the_domain(capsys):
+    # 1/(1 + q^2) has its poles on the unit sphere: the probe j is off the
+    # domain, so its residual is null, while 0.3 + 0.1i has one
+    spec = {"function": {"rational": {"num": [1], "den": [1, 0, 1]}},
+            "region": {"ball": [0, 2]},
+            "probes": [[0, 0, 1, 0], [0.3, 0.1, 0, 0]], "nodes": 256}
+    code, out = run(capsys, "cauchy", "--input", json.dumps(spec))
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows[0][2] is None
+    assert isinstance(rows[1][2], float)
+
+
+@pytest.mark.parametrize("grid", ["7x5", "7x80"])
+def test_douren_grid_matches_per_point_reference(grid, capsys):
+    # the row y = 2 of the 7x80 grid runs along the half-line cut, where
+    # the points with x <= -2 are off the domain
+    from sliceregular import douren
+    code, out = run(capsys, "douren", "--grid", grid)
+    assert code == 0
+    rep = json.loads(out)
+    fx = douren.fixtures()
+    I = fx.cfg.base_unit
+    nx, ny = [int(v) for v in grid.split("x")]
+    assert rep["x"] == np.linspace(-4.0, 2.0, nx).tolist()
+    assert rep["y"] == np.linspace(0.05, 4.0, ny).tolist()
+    want = []
+    for y in rep["y"]:
+        line = []
+        for x in rep["x"]:
+            q = Quaternion(x) + I * y
+            line.append(fx.f(q).components() if fx.domain.contains(q)
+                        else None)
+        want.append(line)
+    got = rep["values"]
+    assert [[v is None for v in line] for line in got] == \
+        [[v is None for v in line] for line in want]
+    assert any(v is None for line in want for v in line) == (grid == "7x80")
+    for gl, wl in zip(got, want):
+        for g, w in zip(gl, wl):
+            if w is not None:
+                assert np.allclose(g, w, rtol=1e-14, atol=1e-14)

@@ -622,3 +622,39 @@ def test_fixture_values_match_traced_logarithm():
                                   np.concatenate([units, -units]))
         assert np.abs(rows - np.concatenate([want, want])).max() \
             <= 1e-9 * scale, fn.label
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("built eagerly")
+
+
+def test_fixture_functions_need_no_cap_or_cut_test(monkeypatch):
+    # members are built on first access: the functions need neither a cap,
+    # nor spherical data, nor a cut distance until they are evaluated
+    for name in ("cap_component", "spherical_data", "cut_distance"):
+        monkeypatch.setattr(douren, name, _forbidden)
+    fx = fixtures()
+    for name in ("f", "g", "D", "ell", "h"):
+        assert getattr(fx, name) is getattr(fx, name)
+
+
+def test_fixtures_are_built_per_call():
+    a, b = fixtures(), fixtures()
+    assert a is not b and a.f is not b.f and a.f.domain is not b.f.domain
+
+
+def test_bad_I0_raises_at_construction(monkeypatch):
+    monkeypatch.setattr(douren, "omega_domain", _forbidden)
+    for I0 in (I, -I):
+        with pytest.raises(douren.BadUnitChoice):
+            fixtures(I0=I0)
+
+
+def test_fixtures_at_a_non_default_I0():
+    fx = fixtures(I0=QK)
+    assert (fx.I0 - QK).norm() == 0.0
+    assert (fx.p0 - (Quaternion(-1.0) + QK * 2.0)).norm() < 1e-15
+    gp0 = fx.g(fx.p0)
+    assert (fx.p1 - gp0.inverse() * fx.p0 * gp0).norm() < 1e-14
+    assert (fx.I1 - gp0.inverse() * QK * gp0).norm() < 1e-14
+    assert fx.m(fx.p0).norm() < 1e-12
