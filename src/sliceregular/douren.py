@@ -23,7 +23,8 @@ between the arc and the real segment (-2, 0).
 One routine per quantity takes floats or arrays: the branch argument, the
 stem pair of f_t, the cut distance and Omega's clearance. f_douren is the
 cut test (OnCut within BOUNDARY_TOL) plus the stem pair; the fixtures are
-stem hooks alone, whose checked calls leave the cut test to membership. The
+stem hooks alone, whose checked calls leave the cut test to membership, and
+each is built on first access. The
 arc distance needs no search: the geometry of the half-ellipse brackets its
 nearest point in closed form (the tip, the crown, or the one stationary point
 in a bracket), and one safeguarded Newton solve per entry, over whole
