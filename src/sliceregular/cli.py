@@ -27,7 +27,7 @@ import numpy as np
 from . import douren as douren_mod
 from .algebra import (QPoly, QRational, _as_slicefn, conjugate, reciprocal,
                       star_product, symmetrize)
-from .domains import BOUNDARY_TOL, cap_component, slice_clearance
+from .domains import cap_component, clears, slice_clearance
 from .errors import (EmptyInput, NotInDomain, NumericError, ParamOutOfRange,
                      SliceRegularError)
 from .integral import SymmetricRegion, local_cauchy, volume_cauchy
@@ -373,7 +373,7 @@ def _douren_grid(fx, grid: str):
     # one membership call and one evaluation call for the whole grid, row
     # by row in y
     z = (xs[None, :] + 1j * ys[:, None]).ravel()
-    inside = slice_clearance(fx.domain, z, I) > BOUNDARY_TOL
+    inside = clears(slice_clearance(fx.domain, z, I))
     vals = np.zeros((z.size, 4))
     vals[inside] = fx.f.eval_slice_many(z[inside], I)
     cells = [v.tolist() if ok else None for v, ok in zip(vals, inside)]

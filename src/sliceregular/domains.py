@@ -5,9 +5,9 @@ whose intersection with every slice L_I is a planar domain. On non-symmetric
 domains the sphere x+yS can meet the domain in several connected components
 ("caps"); all the cap machinery lives here.
 
-Domains are predicate-based: a DomainSpec carries a membership test plus
-optional analytic hooks (signed boundary clearance, a closed-form cap
-structure) that sharpen the generic grid algorithms.
+A DomainSpec is described by one array function, its boundary clearance
+at x + y*unit, and membership is that clearance above BOUNDARY_TOL; an
+optional closed-form cap structure replaces the generic grid algorithm.
 
 Without a closed-form cap structure, the caps of a sphere are the connected
 components of its in-domain icosphere vertices. They are labelled in numpy
@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (CapTooSmall, EmptyInput, NotInDomain, OnRealAxis,
                      ParamOutOfRange)
-from .quaternion import (Quaternion, embed_complex, rotate_unit, same_slice,
-                         row_units, slice_decompose, unit_rows)
+from .quaternion import (Quaternion, rotate_unit, same_slice, slice_decompose,
+                         unit_rows)
 
 BOUNDARY_TOL = 1e-9
 # angle by which BandCap.second_unit keeps its unit inside the cap collar:
@@ -36,79 +36,90 @@ SECOND_UNIT_MARGIN = math.pi / 360.0
 CAP_CACHE_SIZE = 4
 # normal 3-vectors BandCap.sample_units draws per block
 _SAMPLE_BLOCK = 256
+# the unit row DomainSpec.contains passes for a real point; any unit serves
+_REAL_ROW = np.array([1.0, 0.0, 0.0])
 
 
 @dataclass
 class DomainSpec:
-    """Membership predicate + metadata for a slice domain.
+    """A slice domain: its boundary clearance plus metadata.
 
-    contains: Quaternion -> bool, the membership predicate.
+    clearance: (x, y, units) -> clearance of every x + y*unit. x and y
+        (y >= 0) are floats or arrays, the last axis of units has length 3
+        (one imaginary unit per row), and all three broadcast together, so
+        the rows may be one sphere, one slice, or 4D points each at its own
+        unit; the result has the broadcast shape. The clearance is at most
+        BOUNDARY_TOL at every point off the domain. Inside, it is a lower
+        bound on the distance from x + y*unit to the complement, measured
+        within the unit's half-slice {x + s*unit : s >= 0} (all but Omega's
+        bound the 4D distance; Omega's also carries its cap-collar term,
+        which the flood fill reads). On R (y = 0) it does not depend on the
+        unit. One exception: a sphere taken out of a domain by
+        minus_zero_spheres or zeros._minus_sphere_off_cap, and the inner
+        sphere of a Cassini region with r1 = 0, read 0 on the sphere and
+        the base clearance everywhere else.
     bbox: ((w-, w+), (x-, x+), (y-, y+), (z-, z+)) bounding intervals.
     label: human-readable name.
     symmetric: True when the domain is axially symmetric (every sphere it
         meets is contained whole, so each sphere is a single cap).
-    boundary_distance: optional Quaternion -> float, a lower bound on the
-        distance to the domain boundary (used as a collar by the cap flood
-        fill; domains with razor-thin excluded sets need it).
     cap_structure: optional (x, y) -> list of cap descriptors, a closed-form
         replacement for the grid flood fill.
-    sphere_clearance: optional (x, y, units (N,3) array) -> float array, the
-        boundary_distance of every x + y*unit at once (y >= 0); x and y may
-        be floats or arrays broadcast against the unit rows, so the rows may
-        be one sphere, one slice, or 4D points each at its own unit. It
-        must agree with `contains`: at most BOUNDARY_TOL wherever contains
-        is False. The flood fill makes one call per sphere instead of one
-        per grid vertex, a contour along a slice one call for all its
-        nodes, and the singularity probe one call for all its radii.
     """
 
-    contains: object
+    clearance: object
     bbox: tuple
     label: str = ""
     symmetric: bool = False
-    boundary_distance: object = None
     cap_structure: object = None
-    sphere_clearance: object = None
     # (verts, labels, edge, {component: GridCap}) by (x, y, level), least
     # recently used first
     _cap_cache: dict = field(default_factory=dict, repr=False)
 
+    def contains(self, q: Quaternion) -> bool:
+        """q's clearance, its unit passed as a (3,) row (i on R), clears
+        BOUNDARY_TOL."""
+        y = q.im_norm()
+        row = np.array([q.x / y, q.y / y, q.z / y]) if y else _REAL_ROW
+        return bool(clears(self.clearance(q.w, y, row)))
+
     def __contains__(self, q: Quaternion) -> bool:
-        return bool(self.contains(q))
+        return self.contains(q)
 
     def require(self, q: Quaternion):
         if not self.contains(q):
             raise NotInDomain("%r is not in domain %s" % (q, self.label or "?"))
 
 
-def slice_clearance(dom: DomainSpec, z: np.ndarray, unit) -> np.ndarray:
-    """Boundary clearance of x + y*unit for each z = x + iy.
+def axial_clearance(d, units):
+    """A clearance d of x and y alone, broadcast against the unit rows."""
+    rows = np.shape(units)[:-1]
+    if np.shape(d) == rows:
+        return d
+    return np.broadcast_to(d, np.broadcast_shapes(np.shape(d), rows))
 
-    unit is a Quaternion or an (N, 3) array with one unit per row, so a
-    batch of 4D points at different units is one call. One
-    sphere_clearance call when the domain has the hook (a row with y < 0 is
-    the point x + |y|(-unit)); otherwise point by point, each at its own
-    unit: -inf off the domain, else boundary_distance (+inf without one).
-    """
+
+def slice_clearance(dom: DomainSpec, z: np.ndarray, unit) -> np.ndarray:
+    """Boundary clearance of x + y*unit for each z = x + iy: one clearance
+    call. unit is a Quaternion or an (N, 3) array with one unit per row, so
+    a batch of 4D points at different units is one call; a row with y < 0
+    is the point x + |y|(-unit)."""
     z = np.asarray(z, dtype=complex)
-    if dom.sphere_clearance is not None:
-        u = unit_rows(unit)
-        u = np.where(z.imag[..., None] < 0.0, -u, u)
-        return dom.sphere_clearance(z.real, np.abs(z.imag), u)
-    out = np.full(z.shape, -np.inf)
-    for k, (zz, u) in enumerate(zip(z.flat, row_units(unit, z.size))):
-        q = embed_complex(complex(zz), u)
-        if dom.contains(q):
-            out.flat[k] = (dom.boundary_distance(q)
-                           if dom.boundary_distance is not None else np.inf)
-    return out
+    u = unit_rows(unit)
+    u = np.where(z.imag[..., None] < 0.0, -u, u)
+    return dom.clearance(z.real, np.abs(z.imag), u)
+
+
+def clears(clearance):
+    """Membership from clearance values, a float or an array: True where
+    the clearance exceeds BOUNDARY_TOL. DomainSpec.contains and every
+    membership test on arrays read it."""
+    return clearance > BOUNDARY_TOL
 
 
 def require_slice_points(dom: DomainSpec, z: np.ndarray, unit):
     """NotInDomain unless every x + y*unit (z = x + iy; unit as in
-    slice_clearance) clears the boundary by more than BOUNDARY_TOL: one
-    slice_clearance call."""
-    if not np.all(slice_clearance(dom, z, unit) > BOUNDARY_TOL):
+    slice_clearance) is in the domain: one clearance call."""
+    if not np.all(clears(slice_clearance(dom, z, unit))):
         raise NotInDomain("a slice point along %r is not in domain %s"
                           % (unit, dom.label or "?"))
 
@@ -123,7 +134,9 @@ class CapId:
     representative: Quaternion
     _resolver: object = field(default=None, repr=False, compare=False)
 
-    def contains_unit(self, unit: Quaternion) -> bool:
+    def contains_unit(self, unit):
+        """unit in the cap: a bool for a Quaternion, one bool per row for an
+        (N, 3) array."""
         return self._resolver.contains_unit(unit)
 
     def second_unit(self, unit: Quaternion) -> Quaternion:
@@ -145,7 +158,8 @@ class WholeSphereCap:
     """Resolver for symmetric domains: the cap is the whole sphere."""
 
     def contains_unit(self, unit):
-        return True
+        return True if isinstance(unit, Quaternion) else np.ones(len(unit),
+                                                                 dtype=bool)
 
     def second_unit(self, unit):
         return -unit
@@ -173,7 +187,10 @@ class BandCap:
         return d > self.chord + BOUNDARY_TOL
 
     def contains_unit(self, unit):
-        return self._holds((unit - self.axis).norm())
+        if isinstance(unit, Quaternion):
+            return self._holds((unit - self.axis).norm())
+        return self._holds(np.linalg.norm(
+            unit - np.array(self.axis.components()[1:]), axis=1))
 
     def second_unit(self, unit):
         # the in-cap unit farthest from `unit`: -unit if the cap holds it,
@@ -217,7 +234,12 @@ class GridCap:
 
     def contains_unit(self, unit):
         # the vertices are unit vectors, so the nearest one has the largest
-        # dot product with v
+        # dot product with v; one Quaternion takes the scalar form, a third
+        # of the cost of a one-row array
+        if not isinstance(unit, Quaternion):
+            i = np.argmax(unit @ self.verts.T, axis=1)
+            return ((self.labels[i] == self.comp) & (np.linalg.norm(
+                self.verts[i] - unit, axis=1) <= 2.0 * self.edge))
         v = np.array([unit.x, unit.y, unit.z])
         i = int(np.argmax(self.verts @ v))
         return (self.labels[i] == self.comp
@@ -354,19 +376,7 @@ def _flood_fill(dom: DomainSpec, x: float, y: float, level: int):
     verts, edges = icosphere(level)
     edge_len = float(np.linalg.norm(verts[edges[0, 0]] - verts[edges[0, 1]]))
 
-    if dom.sphere_clearance is not None:
-        member = dom.sphere_clearance(x, y, verts) > y * edge_len
-    else:
-        member = np.fromiter(
-            (dom.contains(Quaternion(x, y * v[0], y * v[1], y * v[2]))
-             for v in verts), dtype=bool, count=len(verts))
-        if dom.boundary_distance is not None:
-            clear = np.fromiter(
-                (dom.boundary_distance(Quaternion(x, y * v[0], y * v[1],
-                                                  y * v[2]))
-                 if m else -1.0 for v, m in zip(verts, member)),
-                dtype=float, count=len(verts))
-            member &= clear > y * edge_len
+    member = dom.clearance(x, y, verts) > y * edge_len
 
     idx = np.flatnonzero(member)
     if len(idx) == 0:
@@ -401,9 +411,10 @@ def _flood_fill(dom: DomainSpec, x: float, y: float, level: int):
 def gamma_tube(samples, eps: float) -> DomainSpec:
     """Tube around a sampled curve C inside one closed half-slice.
 
-    Membership is the union of balls B(p, (|im p|/|im q0|)·eps) over the
-    non-real samples (q0 the sample of largest |im|) and B(p, eps) over the
-    real samples. Contains C, and meets R whenever C does.
+    The union of balls B(p, (|im p|/|im q0|)·eps) over the non-real
+    samples (q0 the sample of largest |im|) and B(p, eps) over the real
+    samples, whose clearance is the largest radius - |q - p|. Contains C,
+    and meets R whenever C does.
     """
     samples = list(samples)
     if not samples:
@@ -418,17 +429,22 @@ def gamma_tube(samples, eps: float) -> DomainSpec:
     ymax = float(ims.max())
     radii = np.where(ims > 0, (ims / ymax if ymax > 0 else 0.0) * eps, eps)
 
-    def clearance(q: Quaternion) -> float:
-        d = np.linalg.norm(pts - np.array(q.components()), axis=1)
-        return float((radii - d).max())
+    def clearance(x, y, units):
+        # one ball at a time, so a grid of rows costs no rows x balls array
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y),
+                                    np.shape(units)[:-1])
+        q = np.concatenate([np.broadcast_to(x, shape)[..., None],
+                            np.broadcast_to(y, shape)[..., None] * units],
+                           axis=-1)
+        best = np.full(shape, -np.inf)
+        for p, r in zip(pts, radii):
+            best = np.maximum(best, r - np.linalg.norm(q - p, axis=-1))
+        return best
 
     lo = pts.min(axis=0) - eps
     hi = pts.max(axis=0) + eps
-    return DomainSpec(
-        contains=lambda q: clearance(q) > 0.0,
-        bbox=tuple(zip(lo, hi)),
-        label="gamma_tube(eps=%g)" % eps,
-        boundary_distance=clearance)
+    return DomainSpec(clearance=clearance, bbox=tuple(zip(lo, hi)),
+                      label="gamma_tube(eps=%g)" % eps)
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +475,25 @@ class CassiniRegion:
         if self.r1 < 0 or self.r2 <= self.r1:
             raise ParamOutOfRange("need 0 <= r1 < r2")
 
-    def modulus(self, q: Quaternion) -> float:
-        v = q * q - q * (2.0 * self.x0) + Quaternion(self.x0 ** 2 + self.y0 ** 2)
-        return v.norm()
-
-    def contains(self, q: Quaternion) -> bool:
-        m = self.modulus(q)
-        return self.r1 ** 2 < m < self.r2 ** 2
-
     def to_domain(self) -> DomainSpec:
+        """The region as a symmetric domain. With F(z) = (z - x0)^2 + y0^2
+        and a = |z - x0|, |F(w) - F(z)| <= d (2a + d) whenever
+        |w - z| <= d, for quaternions too, so the clearance
+        sqrt(a^2 + gap) - a, where |F(z)| has room gap to r1^2 and r2^2,
+        is a 4D lower bound. With r1 = 0 only the outer side is bounded,
+        and the sphere F = 0 reads 0."""
+        x0, y0, lo, hi = self.x0, self.y0, self.r1 ** 2, self.r2 ** 2
+
+        def clearance(x, y, units):
+            z = x - x0 + 1j * np.asarray(y)
+            m = np.abs(z * z + y0 * y0)
+            gap = hi - m if lo == 0.0 else np.minimum(m - lo, hi - m)
+            a = np.abs(z)
+            d = np.sqrt(a * a + np.maximum(gap, 0.0)) - a
+            return axial_clearance(np.where(m > 0.0, d, 0.0), units)
+
         r = self.r2 + abs(self.x0) + abs(self.y0) + 1.0
-        return DomainSpec(contains=self.contains,
+        return DomainSpec(clearance=clearance,
                           bbox=((-r, r),) * 4,
                           label="cassini(%g,%g;%g,%g)" % (self.x0, self.y0,
                                                           self.r1, self.r2),
@@ -480,31 +504,22 @@ class CassiniRegion:
 # Presets
 
 def ball(center: float = 0.0, radius: float = 1.0) -> DomainSpec:
-    """Euclidean ball around a real center (axially symmetric slice domain)."""
+    """Euclidean ball around a real center (axially symmetric slice domain):
+    its clearance is the 4D distance to the sphere."""
     c = float(center)
     r = float(radius)
-
-    def bd(q):
-        return r - (q - Quaternion(c)).norm()
-
-    return DomainSpec(contains=lambda q: bd(q) > 0.0,
+    return DomainSpec(clearance=lambda x, y, units: axial_clearance(
+                          r - np.hypot(x - c, y), units),
                       bbox=((c - r, c + r), (-r, r), (-r, r), (-r, r)),
                       label="ball(%g,%g)" % (c, r),
-                      symmetric=True,
-                      boundary_distance=bd)
+                      symmetric=True)
 
 
 def whole_space(limit: float = 1e6) -> DomainSpec:
-    def sphere_clearance(x, y, units):
-        d = limit - np.hypot(x, y)
-        return np.broadcast_to(d, np.broadcast_shapes(np.shape(d),
-                                                      units.shape[:-1]))
-
-    return DomainSpec(contains=lambda q: q.norm() < limit,
-                      bbox=((-limit, limit),) * 4,
-                      label="H", symmetric=True,
-                      boundary_distance=lambda q: limit - q.norm(),
-                      sphere_clearance=sphere_clearance)
+    """H, as the ball of radius limit about 0."""
+    dom = ball(0.0, limit)
+    dom.label = "H"
+    return dom
 
 
 def preset(name: str, **kw) -> DomainSpec:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .algebra import binom, real_quadratic, scale_stems, star_stems
 from .domains import (BOUNDARY_TOL, BandCap, CapId, DomainSpec,
-                      WholeSphereCap, cap_component)
+                      WholeSphereCap, axial_clearance, cap_component)
 from .errors import (BadUnitChoice, OnCut, ParamOutOfRange)
 from .quaternion import (QI, Quaternion, emb_arr, embed_complex, perp_unit,
                          rotate_unit, slice_decompose, unit_imaginary)
@@ -56,15 +56,17 @@ class DourenConfig:
     base_unit: Quaternion = QI
 
     def __post_init__(self):
-        object.__setattr__(self, "base_unit", unit_imaginary(self.base_unit))
+        I = unit_imaginary(self.base_unit)
+        object.__setattr__(self, "base_unit", I)
+        object.__setattr__(self, "_base_row", np.array([I.x, I.y, I.z]))
 
     def t_of(self, unit):
-        """T(J) = min(|J - I|, 1); for an (N, 3) array of units, one T per
-        row."""
+        """T(J) = min(|J - I|, 1); for a (3,) or (N, 3) array of units, one
+        T per row."""
         if isinstance(unit, Quaternion):
             return min((unit - self.base_unit).norm(), 1.0)
-        I = self.base_unit
-        return np.minimum(np.linalg.norm(unit - [I.x, I.y, I.z], axis=-1), 1.0)
+        d = unit - self._base_row
+        return np.minimum(np.sqrt((d * d).sum(axis=-1)), 1.0)
 
 
 def arc_point(t: float, J: Quaternion, s: float) -> Quaternion:
@@ -257,8 +259,9 @@ def _sphere_band(x, y):
 
 def _clearance(cfg: DourenConfig, x, y, units):
     """Boundary clearance of x + y*unit (y >= 0): distance to the cut of
-    the unit's slice and to the cap collar, 1 on R. Floats with one
-    Quaternion unit, or arrays broadcast against (N, 3) unit rows."""
+    the unit's slice and to the cap collar, 1 on R. x and y are floats or
+    arrays broadcast against the unit rows ((3,) or (N, 3)); a Quaternion
+    unit serves too."""
     t = cfg.t_of(units)
     d = cut_distance(t, x + 1j * (y - 2.0))
     band = _sphere_band(x, y)
@@ -268,18 +271,13 @@ def _clearance(cfg: DourenConfig, x, y, units):
 
 
 def omega_domain(cfg: DourenConfig, closed_form_caps: bool = True) -> DomainSpec:
-    """Omega, whose boundary_distance and sphere_clearance are _clearance.
+    """Omega, whose clearance is _clearance.
 
     On the real axis the clearance is 1 at every unit: every cut point
     x' + y'J has y' >= 1, so 1 bounds the distance from R to the boundary
     in every slice, not only to the cuts of the row's own slice.
     """
     I = cfg.base_unit
-
-    def boundary_distance(q: Quaternion) -> float:
-        sc = slice_decompose(q)
-        return float(_clearance(cfg, sc.x, sc.y,
-                                I if sc.unit is None else sc.unit))
 
     def cap_structure(x: float, y: float):
         band = float(_sphere_band(x, y))
@@ -294,14 +292,12 @@ def omega_domain(cfg: DourenConfig, closed_form_caps: bool = True) -> DomainSpec
         return [WholeSphereCap()]
 
     lim = 50.0
-    return DomainSpec(contains=lambda q: boundary_distance(q) > BOUNDARY_TOL,
+    return DomainSpec(clearance=lambda x, y, units: _clearance(cfg, x, y,
+                                                               units),
                       bbox=((-lim, lim),) * 4,
                       label="douren-omega",
                       symmetric=False,
-                      boundary_distance=boundary_distance,
-                      cap_structure=cap_structure if closed_form_caps else None,
-                      sphere_clearance=lambda x, y, units:
-                          _clearance(cfg, x, y, units))
+                      cap_structure=cap_structure if closed_form_caps else None)
 
 
 # ---------------------------------------------------------------------------
@@ -409,22 +405,15 @@ class DourenFixtures:
     @cached_property
     def D(self) -> SliceFunction:
         """The locally-slice difference D = f_1 - f_0 on the open solid
-        torus: the stems of f_1 and f_0 are those of f on the caps of -I
-        and I, where T = 1 and T = 0."""
+        torus (x + 1)^2 + (y - 2)^2 < 1, whose clearance is the 4D distance
+        to its boundary: the stems of f_1 and f_0 are those of f on the
+        caps of -I and I, where T = 1 and T = 0."""
         cfg, I = self.cfg, self.cfg.base_unit
-
-        def torus_contains(q):
-            sc = slice_decompose(q)
-            return ((sc.x + 1.0) ** 2 + (sc.y - 2.0) ** 2
-                    < (1.0 - BOUNDARY_TOL) ** 2)
-
-        torus = DomainSpec(contains=torus_contains,
+        torus = DomainSpec(clearance=lambda x, y, units: axial_clearance(
+                               1.0 - np.hypot(x + 1.0, y - 2.0), units),
                            bbox=((-2.0, 0.0), (-3.0, 3.0), (-3.0, 3.0),
                                  (-3.0, 3.0)),
-                           label="douren-torus", symmetric=True,
-                           boundary_distance=lambda q: 1.0 - math.hypot(
-                               slice_decompose(q).x + 1.0,
-                               slice_decompose(q).y - 2.0))
+                           label="douren-torus", symmetric=True)
         return SliceFunction(torus, backing="closed-form", label="douren-D",
                              slice_many=lambda z, unit:
                                  _f_slice_many(cfg, -I, z)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import stem_values
-from .domains import (BOUNDARY_TOL, cap_component, require_slice_points,
+from .domains import (cap_component, clears, require_slice_points,
                       slice_clearance)
 from .errors import (BadUnitChoice, OpenContour, ParamOutOfRange,
                      ProbeOutside, ProbeOutsideValidated)
@@ -374,7 +374,7 @@ def _data_consistent(f, s: np.ndarray, S: np.ndarray, Jp: Quaternion,
     idx = np.linspace(0, s.size - 1, 7).astype(int)
     upper = s[idx].imag > 1e-14
     z = s[idx][upper]
-    if not np.all(slice_clearance(f.domain, z, Jp) > BOUNDARY_TOL):
+    if not np.all(clears(slice_clearance(f.domain, z, Jp))):
         return False
     synth = stem_values(S[idx][upper], Jp)
     direct = np.atleast_2d(f.eval_slice_many(z, Jp))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import (QPoly, QRational, binom, real_quadratic,
                       reciprocal_poly, stem_values)
-from .domains import (BOUNDARY_TOL, require_slice_points, sigma_tau_omega,
+from .domains import (clears, require_slice_points, sigma_tau_omega,
                       slice_clearance)
 from .errors import (MaxTermsExceeded, NoAnnulus, NumericError,
                      OutsideConvergenceRegion, ParamOutOfRange)
@@ -533,7 +533,7 @@ def _probe_sups(f: SliceFunction, p: Quaternion) -> list:
 def _in_domain(dom, pts: np.ndarray) -> np.ndarray:
     """Membership of each (N, 4) row: one slice_clearance call."""
     z, units = slice_rows(pts)
-    return slice_clearance(dom, z, units) > BOUNDARY_TOL
+    return clears(slice_clearance(dom, z, units))
 
 
 def _bounded_near(f: SliceFunction, p: Quaternion, sups=None) -> bool:

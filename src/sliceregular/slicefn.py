@@ -34,9 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import stem_values
-from .domains import CapId, DomainSpec, cap_component, whole_space
+from .domains import (CapId, DomainSpec, cap_component, clears,
+                      slice_clearance, whole_space)
 from .errors import (NotInDomain, OnRealAxis, RealTraceMismatch, UnitsEqual)
-from .quaternion import (ONE, QI, Quaternion, embed_complex, qmul_arr,
+from .quaternion import (QI, Quaternion, embed_complex, qmul_arr,
                          row_units, slice_decompose, unit_rows)
 
 
@@ -186,46 +187,31 @@ class SliceFunction:
 
 def minus_zero_spheres(base: DomainSpec, den, what: str) -> DomainSpec:
     """base without the spheres on which the real polynomial den (a QPoly)
-    vanishes. Its sphere_clearance, when base has one, reads 0 on them, so
-    it agrees with `contains`."""
+    vanishes: its clearance reads 0 where den's complex polynomial is 0 at
+    x + iy, the value a stem hook divides by."""
     coeffs = list(reversed(den.real_coeffs()))
-    clear = None
-    if base.sphere_clearance is not None:
-        clear = lambda x, y, units: np.where(
-            np.polyval(coeffs, x + 1j * np.asarray(y)) != 0.0,
-            base.sphere_clearance(x, y, units), 0.0)
     return DomainSpec(
-        contains=lambda q: base.contains(q) and den.eval(q).norm() > 0.0,
+        clearance=lambda x, y, units: np.where(
+            np.polyval(coeffs, x + 1j * np.asarray(y)) != 0.0,
+            base.clearance(x, y, units), 0.0),
         bbox=base.bbox, label="%s \\ %s" % (base.label, what),
-        symmetric=base.symmetric,
-        boundary_distance=base.boundary_distance,
-        cap_structure=base.cap_structure,
-        sphere_clearance=clear)
+        symmetric=base.symmetric, cap_structure=base.cap_structure)
 
 
 def intersect_domains(a: DomainSpec, b: DomainSpec) -> DomainSpec:
+    """a ∩ b, whose clearance is the smaller of the two."""
     if a is b:
         return a
     bbox = tuple((max(lo1, lo2), min(hi1, hi2))
                  for (lo1, hi1), (lo2, hi2) in zip(a.bbox, b.bbox))
-    bd = None
-    if a.boundary_distance and b.boundary_distance:
-        bd = lambda q: min(a.boundary_distance(q), b.boundary_distance(q))
-    elif a.boundary_distance or b.boundary_distance:
-        bd = a.boundary_distance or b.boundary_distance
-    sc = None
-    if a.sphere_clearance and b.sphere_clearance:
-        sc = lambda x, y, units: np.minimum(a.sphere_clearance(x, y, units),
-                                            b.sphere_clearance(x, y, units))
     cs = a.cap_structure or b.cap_structure
     if a.cap_structure and b.cap_structure and a.cap_structure is not b.cap_structure:
         cs = None  # fall back to the grid on genuinely mixed geometry
-    return DomainSpec(contains=lambda q: a.contains(q) and b.contains(q),
+    return DomainSpec(clearance=lambda x, y, units: np.minimum(
+                          a.clearance(x, y, units), b.clearance(x, y, units)),
                       bbox=bbox, label="(%s)∩(%s)" % (a.label, b.label),
                       symmetric=a.symmetric and b.symmetric,
-                      boundary_distance=bd,
-                      cap_structure=cs,
-                      sphere_clearance=sc)
+                      cap_structure=cs)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +266,13 @@ def cullen_derivative(f: SliceFunction, q: Quaternion) -> Quaternion:
     if f.backing == "rational":
         return f.payload.cullen_eval(q)
     sc = slice_decompose(q)
-    unit = sc.unit if sc.unit is not None else ONE * 0.0
     step = 1e-3 * (1.0 + abs(q))
-    # stay inside the domain: shrink until the whole stencil is admissible
+    # stay inside the domain: shrink until the whole stencil, which lies in
+    # the slice of q, is admissible (one clearance call per step)
     for _ in range(40):
-        pts = [q + Quaternion(s * step) for s in (-2, -1, 1, 2)]
-        if all(f.domain.contains(p) for p in pts):
+        z = complex(sc.x, sc.y) + np.array([-2.0, -1.0, 1.0, 2.0]) * step
+        if np.all(clears(slice_clearance(f.domain, z,
+                                         QI if sc.unit is None else sc.unit))):
             break
         step *= 0.5
     else:

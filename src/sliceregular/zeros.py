@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import QPoly, binom, scale_stems, star_stems
-from .domains import (CapId, DomainSpec, cap_component,
+from .domains import (CapId, DomainSpec, cap_component, clears,
                       require_slice_points, slice_clearance)
 from .errors import (CapMismatch, IdenticallyZero, NotADivisor,
                      NotVanishingOnCap, ZeroPolynomial)
-from .quaternion import (Quaternion, qarr, qmul_arr, same_sphere,
+from .quaternion import (QI, Quaternion, qarr, qmul_arr, same_sphere,
                          slice_decompose, unit_rows)
 from .slicefn import SliceFunction, cullen_derivative, spherical_data
 
@@ -324,30 +324,20 @@ def _on_sphere(z, x0: float, y0: float):
 def _minus_sphere_off_cap(base: DomainSpec, x0: float, y0: float,
                           cap: CapId) -> DomainSpec:
     """base without the points of the sphere x0 + y0 S off the cap, where a
-    quotient by S has a pole: contains is False there and sphere_clearance,
-    when base has one, reads 0, as in minus_zero_spheres."""
-    def contains(q: Quaternion) -> bool:
-        sc = slice_decompose(q)
-        return base.contains(q) and (
-            sc.unit is None or not _on_sphere(complex(sc.x, sc.y), x0, y0)[1]
-            or cap.contains_unit(sc.unit))
-
-    clear = None
-    if base.sphere_clearance is not None:
-        def clear(x, y, units):
-            d = np.array(base.sphere_clearance(x, y, units), dtype=float)
-            z = np.broadcast_to(x + 1j * np.asarray(y), d.shape).ravel()
-            rows = np.broadcast_to(units, d.shape + (3,)).reshape(-1, 3)
-            for k in np.flatnonzero(_on_sphere(z, x0, y0)[1]):
-                if not cap.contains_unit(Quaternion(0.0, *rows[k])):
-                    d.flat[k] = 0.0
-            return d
+    quotient by S has a pole: its clearance reads 0 there, as in
+    minus_zero_spheres."""
+    def clearance(x, y, units):
+        d = np.array(base.clearance(x, y, units), dtype=float)
+        on = np.broadcast_to(_on_sphere(x + 1j * np.asarray(y), x0, y0)[1],
+                             d.shape)
+        rows = np.broadcast_to(units, d.shape + (3,))[on]
+        d[on] = np.where(cap.contains_unit(rows), d[on], 0.0)
+        return d
 
     return DomainSpec(
-        contains=contains, bbox=base.bbox,
+        clearance=clearance, bbox=base.bbox,
         label="%s \\ (%g + %gS off its cap)" % (base.label, x0, y0),
-        symmetric=base.symmetric, boundary_distance=base.boundary_distance,
-        cap_structure=base.cap_structure, sphere_clearance=clear)
+        symmetric=base.symmetric, cap_structure=base.cap_structure)
 
 
 def _sphere_quotient(f, x0: float, y0: float, num_stems, label: str,
@@ -589,18 +579,16 @@ def zero_scan(f: SliceFunction, dom=None, resolution: float = 0.05,
     from .quaternion import embed_complex
     xs = np.arange(wlo, whi + resolution, resolution * 10)
     ys = np.arange(resolution, ymax, resolution * 10)
+    grid = (xs[:, None] + 1j * ys[None, :]).ravel()
     for unit in units:
-        for x in xs:
-            for y in ys:
-                q = embed_complex(complex(x, y), unit)
-                if not dom.contains(q):
-                    continue
-                v = f.eval_unchecked(q).norm()
-                if v < 0.5:
-                    z = newton_polish_on_slice(f, complex(x, y), unit)
-                    q2 = embed_complex(z, unit)
-                    if dom.contains(q2) and f.eval_unchecked(q2).norm() <= 1e-9:
-                        found.append(q2)
+        # the lattice points of the unit's slice in dom: one clearance call
+        for zz in grid[clears(slice_clearance(dom, grid, unit))]:
+            v = f.eval_unchecked(embed_complex(complex(zz), unit)).norm()
+            if v < 0.5:
+                z = newton_polish_on_slice(f, complex(zz), unit)
+                q2 = embed_complex(z, unit)
+                if dom.contains(q2) and f.eval_unchecked(q2).norm() <= 1e-9:
+                    found.append(q2)
     spheres = list(spheres or [])
     for q in found:
         sc = slice_decompose(q)
@@ -650,9 +638,10 @@ def zero_scan(f: SliceFunction, dom=None, resolution: float = 0.05,
                     report.isolated.append(
                         IsolatedZero(pt, cap, 1, 1, "scanned"))
     # real-axis zeros
-    for x in np.arange(wlo, whi, resolution):
+    xr = np.arange(wlo, whi, resolution)
+    for x in xr[clears(slice_clearance(dom, xr, QI))]:
         q = Quaternion(x)
-        if dom.contains(q) and f.eval_unchecked(q).norm() < 1e-9:
+        if f.eval_unchecked(q).norm() < 1e-9:
             report.isolated.append(IsolatedZero(q, None, 1, 1, "scanned"))
     return report
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,13 +201,14 @@ def test_sphere_clearance_matches_scalar_clearance():
     # vertex of spheres near -1 + 2S, and the flood fill it drives against
     # the per-vertex fill of a domain made of the reference alone
     dom = omega_domain(CFG, closed_form_caps=False)
-    plain = DomainSpec(contains=lambda q: _ref_clearance(q) > BOUNDARY_TOL,
-                       bbox=dom.bbox, boundary_distance=_ref_clearance)
+    plain = DomainSpec(clearance=lambda x, y, units: np.array(
+                           [_ref_clearance(Quaternion(x, *(y * v)))
+                            for v in units]), bbox=dom.bbox)
     verts, _ = icosphere(5)
     spheres = ((-1.0, 2.0), (-1.04, 2.02), (-0.95, 1.97), (-1.08, 2.06),
                (-0.92, 2.09))
     for x, y in spheres:
-        got = dom.sphere_clearance(x, y, verts)
+        got = dom.clearance(x, y, verts)
         want = np.array([_ref_clearance(Quaternion(x, *(y * v)))
                          for v in verts])
         assert np.abs(got - want).max() <= 1e-12
@@ -658,3 +660,13 @@ def test_fixtures_at_a_non_default_I0():
     assert (fx.p1 - gp0.inverse() * fx.p0 * gp0).norm() < 1e-14
     assert (fx.I1 - gp0.inverse() * QK * gp0).norm() < 1e-14
     assert fx.m(fx.p0).norm() < 1e-12
+
+
+def test_h_raises_within_rounding_of_its_removed_sphere():
+    # q lies on -1 + 2S to rounding; membership reads the same x + iy as the
+    # stem hook, whose divisor q^2 + 2q + 5 is exactly 0 there
+    q = Quaternion(-1.0, *(2.0 / math.sqrt(3.0),) * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotInDomain):
+            FX.h(q)

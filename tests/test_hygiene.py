@@ -88,6 +88,50 @@ def test_every_slice_function_built_in_src_has_a_stem_hook():
     assert not bare, "built without a stem hook: " + ", ".join(bare)
 
 
+def test_every_domain_built_in_src_answers_unit_rows_at_once():
+    # one clearance call on (N, 3) unit rows gives one value per row: at
+    # one sphere's x and y, at a real x, and at arrays of x and y
+    import numpy as np
+
+    from sliceregular import douren
+    from sliceregular.algebra import QPoly, QRational, real_quadratic
+    from sliceregular.domains import ball, preset, whole_space
+    from sliceregular.slicefn import SliceFunction, intersect_domains
+    from sliceregular.zeros import factor_out_point
+
+    FX = douren.fixtures()
+    built = {
+        "ball": preset("ball"),
+        "cassini": preset("cassini"),
+        "cassini with a hole": preset("cassini", r1=0.3, r2=1.2),
+        "tube": preset("tube", samples=[[0.0, 0.0, 0.0, 0.0],
+                                        [0.5, 0.5, 0.0, 0.0]], eps=0.4),
+        "douren": preset("douren"),
+        "whole_space": whole_space(),
+        "grid-cap omega": douren.omega_domain(FX.cfg,
+                                              closed_form_caps=False),
+        "torus": FX.D.domain,
+        "h": FX.h.domain,
+        "rational": SliceFunction.from_exact(
+            QRational(QPoly([1.0]), real_quadratic(0.0, 1.0))).domain,
+        "intersection": intersect_domains(ball(0.0, 3.0), FX.domain),
+        "factor_out_point": factor_out_point(
+            FX.shifted_g(FX.p0), FX.p0, cap=FX.cap_plus).domain,
+    }
+    rng = np.random.default_rng(1)
+    units = rng.standard_normal((7, 3))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    wrong = []
+    for name, dom in built.items():
+        for x, y in ((-1.0, 2.0), (0.3, 0.0),
+                     (np.linspace(-1.5, 0.5, 7), np.linspace(0.0, 3.0, 7))):
+            got = dom.clearance(x, y, units)
+            if not (isinstance(got, np.ndarray) and got.shape == (7,)
+                    and got.dtype == float):
+                wrong.append(name)
+    assert not wrong, "no (N,) float array from: " + ", ".join(wrong)
+
+
 def test_package_import_loads_no_scipy():
     # scipy is imported only inside zeros.zero_scan and the minimum-modulus
     # check; the package import pays nothing for it

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st, target
 from sliceregular import algebra, douren, series
 from sliceregular.algebra import (QPoly, QRational, _as_slicefn,
                                   real_quadratic, star_product)
-from sliceregular.domains import ball, slice_clearance
+from sliceregular.domains import BOUNDARY_TOL, ball, slice_clearance
 from sliceregular.quaternion import (QI, QJ, QK, Quaternion, embed_complex,
                                      perp_unit, rotate_unit, slice_decompose)
 from sliceregular.slicefn import SliceFunction, extend_from_slices
@@ -341,11 +341,12 @@ def test_slice_clearance_at_row_units():
     # slice, not the distance to the cuts of the row's own slice
     assert real.sum() == 3 and np.all(want[real] == 1.0)
     assert np.all(got[real] == 1.0)
-    # the torus has boundary_distance but no sphere_clearance
+    # the torus: its closed form 1 - hypot(x + 1, |y| - 2) at every row,
+    # and its members are the rows that clear BOUNDARY_TOL
     torus = FX.D.domain
-    assert torus.sphere_clearance is None
     got = slice_clearance(torus, z, units)
-    want = [torus.boundary_distance(q) if torus.contains(q) else -np.inf
-            for q in quats]
-    assert got.tolist() == want
-    assert np.isfinite(got).sum() >= 8
+    want = [1.0 - math.hypot(q.re() + 1.0, q.im_norm() - 2.0) for q in quats]
+    assert np.abs(got - want).max() <= 1e-12
+    inside = got > BOUNDARY_TOL
+    assert [torus.contains(q) for q in quats] == inside.tolist()
+    assert inside.sum() >= 8

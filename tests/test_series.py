@@ -6,7 +6,7 @@ import pytest
 
 from sliceregular.algebra import (QPoly, QRational, binom, real_quadratic,
                                   reciprocal_poly, star_product)
-from sliceregular.domains import ball
+from sliceregular.domains import CassiniRegion, ball
 from sliceregular.errors import OutsideConvergenceRegion
 from sliceregular.quaternion import (ONE, QI, QJ, QK, Quaternion,
                                      embed_complex, rotate_unit)
@@ -233,3 +233,23 @@ def test_laurent_coeffs_match_the_kernel_formula():
             want = qmul_arr(emb_arr(kern, U), vals).mean(axis=0)
             got = np.array(ser.coeffs[n].components())
             assert np.abs(got - want).max() <= 1e-13 * scale, n
+
+
+@pytest.mark.parametrize("r1, most", [(0.1, 0.1), (0.3, 0.05)])
+def test_laurent_disk_keeps_off_a_cassini_hole(r1, most):
+    # 1/(q^2 + 1) on the Cassini region r1^2 < |q^2 + 1| < 4, at 0.1 + 1.1i:
+    # the hole about the pole at i (about 0.005 wide for r1 = 0.1) sits
+    # 0.14 away, inside the default 0.4 disk, which only a clearance that
+    # sees the hole turns down; r1 = 0.3 is the control with a wide hole
+    def stems(z, unit):
+        F = 1.0 / (np.atleast_1d(z) ** 2 + 1.0)
+        S = np.zeros((F.size, 2, 4))
+        S[:, 0, 0], S[:, 1, 0] = F.real, F.imag
+        return S
+
+    dom = CassiniRegion(0.0, 1.0, r1, 2.0).to_domain()
+    f = SliceFunction(dom, slice_many=stems, label="1/(q^2+1)")
+    rep = classify_singularity(f, Quaternion(0.1, 1.1, 0.0, 0.0),
+                               window=(-8, 4), nodes=512)
+    assert rep.kind == "removable"
+    assert rep.series.radius <= most

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sliceregular.algebra import QPoly, binom, star_product
-from sliceregular.domains import DomainSpec, ball
+from sliceregular.domains import (DomainSpec, axial_clearance, ball,
+                                  slice_clearance)
 from sliceregular.errors import OnRealAxis, RealTraceMismatch, UnitsEqual
 from sliceregular.quaternion import (ONE, QI, QJ, QK, Quaternion,
                                      embed_complex, rotate_unit,
@@ -59,7 +60,8 @@ def test_spherical_data_reconstructs():
 def test_spherical_data_caches_each_angular_step():
     # a domain with no cap structure: its caps are grid flood fills, finer
     # at the smaller step
-    dom = DomainSpec(contains=lambda q: q.norm() < 10.0,
+    dom = DomainSpec(clearance=lambda x, y, u: axial_clearance(
+                         10.0 - np.hypot(x, y), u),
                      bbox=((-10.0, 10.0),) * 4, label="ball, grid caps")
     f = SliceFunction.from_exact(QPoly([QI, 1.0]), dom)
     p = Quaternion(0.2) + QJ * 1.3
@@ -168,9 +170,9 @@ def test_intersect_domains():
     c = intersect_domains(a, b)
     assert c.contains(Quaternion(0.5))
     assert not c.contains(Quaternion(-1.5))
-    assert c.boundary_distance(Quaternion(0.5)) == pytest.approx(
-        min(a.boundary_distance(Quaternion(0.5)),
-            b.boundary_distance(Quaternion(0.5))))
+    assert slice_clearance(c, [0.5], QI)[0] == pytest.approx(
+        min(slice_clearance(a, [0.5], QI)[0],
+            slice_clearance(b, [0.5], QI)[0]))
 
 
 def test_eval_slice_many_matches_pointwise():
@@ -187,9 +189,10 @@ def test_eval_slice_many_matches_pointwise():
 def test_intersect_domains_sphere_clearance():
     units = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
     a, b, c = ball(0.0, 2.0), ball(1.0, 2.0), ball(0.0, 3.0)
-    a.sphere_clearance = lambda x, y, u: np.full(len(u), 0.5)
-    b.sphere_clearance = lambda x, y, u: u[:, 0]
+    # two balls: the closed form of the nearer boundary
+    got = intersect_domains(a, c).clearance(0.5, 1.0, units)
+    assert got.tolist() == [2.0 - np.hypot(0.5, 1.0)] * 2
+    a.clearance = lambda x, y, u: np.full(len(u), 0.5)
+    b.clearance = lambda x, y, u: u[:, 0]
     both = intersect_domains(a, b)
-    assert both.sphere_clearance(0.0, 1.0, units).tolist() == [0.5, 0.0]
-    # one side without the hook: the flood fill needs its contains test
-    assert intersect_domains(a, c).sphere_clearance is None
+    assert both.clearance(0.0, 1.0, units).tolist() == [0.5, 0.0]
